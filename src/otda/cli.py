@@ -101,7 +101,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value checked as its flag would check it on the command
+    line: the flag's converter runs on the value's text, so {"epochs": 1.5}
+    fails the way --epochs 1.5 does."""
+    if action.nargs == 0:  # a switch such as --swap-val-test
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigurationError(f"config key {key!r}: invalid value {value!r}: {exc}") from exc
+    if action.choices is not None and converted not in action.choices:
+        raise ConfigurationError(f"config key {key!r}: {converted!r} is not one of {sorted(action.choices)}")
+    return converted
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Values in the JSON config file take precedence over flags."""
     if getattr(args, "config", None) is None:
         return
@@ -113,11 +132,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ParseError(f"{args.config}: not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigurationError(f"{args.config}: config file must hold a JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flags:
             raise ConfigurationError(f"{args.config}: unknown config key {key!r}")
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(flags[attr], key, value))
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -439,7 +460,7 @@ def run(argv) -> int:
         # argparse exits 2 on usage errors; those are configuration errors here
         return 0 if exc.code == 0 else 1
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         if args.command == "dann":
             args.method = "dann"
         return _COMMANDS[args.command](args)

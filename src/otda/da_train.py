@@ -11,11 +11,15 @@ determines the trajectory, and every method consumes the streams identically
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -64,8 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.alpha < 0:
-            raise ConfigurationError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.metric not in (EUCLIDEAN, SQUARED_EUCLIDEAN):
@@ -348,10 +352,54 @@ def train(dataset: DomainDataset, config: TrainConfig) -> RunReport:
     return train_with_model(dataset, config)[0]
 
 
-def _sweep_cell(args) -> tuple:
-    dataset, config = args
-    report = train(dataset, config)
-    return report
+# Symbol spellings of OpenBLAS's thread controls, most specific first: the
+# numpy wheels ship a renamed 64-bit-integer build (scipy_openblas64_).
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}",
+)
+
+
+def _openblas_function(name: str):
+    """OpenBLAS's `name` ("set_num_threads" or "get_num_threads") from the
+    library numpy loaded, or None when numpy uses another BLAS."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        try:
+            # RTLD_NOLOAD finds a library already mapped and never loads one.
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            function = getattr(lib, symbol.format(name), None)
+            if function is not None:
+                return function
+    return None
+
+
+_worker_dataset = None
+
+
+def _start_worker(dataset: DomainDataset) -> None:
+    """Pool initializer: keep the dataset for every cell of this worker and
+    run BLAS on one thread, since the workers themselves are the parallelism.
+    A forked worker inherits OpenBLAS's thread count, so only the library's
+    setter (not OPENBLAS_NUM_THREADS) can change it."""
+    global _worker_dataset
+    _worker_dataset = dataset
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _worker_pool(dataset: DomainDataset, workers: int) -> ProcessPoolExecutor:
+    # Forked workers inherit the dataset through initargs, so a task pickles
+    # only its config.
+    return ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(dataset,))
+
+
+def _sweep_cell(config: TrainConfig, keep_params: bool = False, dataset: DomainDataset | None = None):
+    """One training run; pool workers train on their initializer's dataset."""
+    report, params = train_with_model(_worker_dataset if dataset is None else dataset, config)
+    return (report, params) if keep_params else report
 
 
 def _worker_count(n_cells: int) -> int:
@@ -361,6 +409,17 @@ def _worker_count(n_cells: int) -> int:
     except ValueError:
         raise ConfigurationError(f"OTDA_THREADS must be an integer, got {raw!r}")
     return min(workers, n_cells)
+
+
+def _train_cells(dataset: DomainDataset, configs: list, keep_params: bool = False) -> list:
+    """Train every config in order; returns RunReports, or (report, params)
+    pairs when keep_params is set. The runs go to OTDA_THREADS worker
+    processes when that is above 1 and stay in this process otherwise."""
+    workers = _worker_count(len(configs))
+    if workers <= 1:
+        return [_sweep_cell(config, keep_params, dataset) for config in configs]
+    with _worker_pool(dataset, workers) as pool:
+        return list(pool.map(_sweep_cell, configs, repeat(keep_params)))
 
 
 @dataclass
@@ -420,18 +479,8 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds=
 
     if base_config.method == "erm":
         raise ConfigurationError("alpha sweep needs a method with an alignment term (ot or dann)")
-    cells = [
-        (dataset, replace(base_config, alpha=alpha, seed=seed))
-        for alpha in alphas
-        for seed in seeds
-    ]
-    workers = _worker_count(len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_sweep_cell, cells))
-    else:
-        flat = [_sweep_cell(cell) for cell in cells]
-
+    configs = [replace(base_config, alpha=alpha, seed=seed) for alpha in alphas for seed in seeds]
+    flat = _train_cells(dataset, configs)
     reports = [flat[i * len(seeds):(i + 1) * len(seeds)] for i in range(len(alphas))]
     val_acc = np.array([[r.final["val"]["accuracy"] for r in row] for row in reports])
     test_acc = np.array([[r.final["test"]["accuracy"] for r in row] for row in reports])
@@ -441,13 +490,9 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds=
 
 def run_seeds(dataset: DomainDataset, config: TrainConfig, seeds, keep_params: bool = False) -> list:
     """Train one configuration across several seeds; returns a list of
-    RunReports, or (report, params) pairs when keep_params is set."""
-    out = []
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        report, params = train_with_model(dataset, cfg)
-        out.append((report, params) if keep_params else report)
-    return out
+    RunReports, or (report, params) pairs when keep_params is set. Seeds run
+    in parallel worker processes when OTDA_THREADS is above 1."""
+    return _train_cells(dataset, [replace(config, seed=int(seed)) for seed in seeds], keep_params)
 
 
 def save_report(report: RunReport, path, include_timing: bool = False) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolationError, ParseError
+from .errors import ConfigurationError, ContractViolationError, ParseError
 
 # Per-sample normalization keeps rows at zero mean / unit variance across
 # hidden units; rows with variance at or below this floor are scaled by
@@ -101,6 +101,10 @@ class OptimizerConfig:
     weight_decay: float = 1e-3
 
     def __post_init__(self):
+        if not (np.isfinite(self.learning_rate) and np.isfinite(self.weight_decay)):
+            raise ConfigurationError(
+                f"learning_rate and weight_decay must be finite, got {self.learning_rate} and {self.weight_decay}"
+            )
         if not (self.learning_rate > 0):
             raise ContractViolationError("learning_rate must be positive")
         if not (0 <= self.momentum < 1):

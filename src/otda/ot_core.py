@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import (
+    ConfigurationError,
     ContractViolationError,
     NumericOverflowError,
     SinkhornConvergenceError,
@@ -135,6 +136,8 @@ class SinkhornConfig:
     relative_epsilon: bool = field(default=True)
 
     def __post_init__(self):
+        if not np.isfinite(self.epsilon):
+            raise ConfigurationError(f"epsilon must be finite, got {self.epsilon}")
         if not (self.epsilon > 0):
             raise ContractViolationError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.marginal_tolerance > 0):

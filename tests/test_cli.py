@@ -107,6 +107,38 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("override", [{"alpha": "abc"}, {"epochs": 1.5}])
+    def test_config_file_value_checked_like_its_flag(self, data_dir, tmp_path, capsys, override):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(override))
+        out = tmp_path / "x"
+        code = run(small_train_args(data_dir, out, config=str(path)))
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert payload["error"] == "ConfigurationError"
+        assert not list(out.rglob("report_*.json"))
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, data_dir, tmp_path, capsys, alpha):
+        out = tmp_path / "x"
+        args = small_train_args(data_dir, out)
+        args[args.index("--alpha") + 1] = alpha
+        code = run(args)
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert payload["error"] == "ConfigurationError"
+        assert "alpha" in payload["message"]
+        assert not list(tmp_path.rglob("report_*.json"))
+
+    def test_bad_worker_count_is_config_error(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OTDA_THREADS", "abc")
+        code = run(["sweep", "--alphas", "0.1", "--seeds", "1", "--epochs", "1",
+                    "--data", str(data_dir), "--out", str(tmp_path / "s")])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert payload["error"] == "ConfigurationError"
+        assert "OTDA_THREADS" in payload["message"]
+
 
 class TestOtherCommands:
     def test_posthoc(self, data_dir, tmp_path):

@@ -1,7 +1,6 @@
 """Training harness: step semantics, ERM degeneracy, gradient reversal,
 composite-loss gradcheck, determinism, leakage, early stopping, and sweeps."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +11,14 @@ from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import (
     SweepResult,
     TrainConfig,
+    _openblas_function,
+    _worker_pool,
     alpha_sweep,
     binary_cross_entropy_with_logits,
     composite_loss_and_grads,
     composite_loss_step,
     dann_step,
+    run_seeds,
     train,
     train_with_model,
 )
@@ -232,16 +234,47 @@ class TestAlphaSweep:
         with pytest.raises(ConfigurationError):
             alpha_sweep(tiny_ds, small_config(method="erm"), [0.1], seeds=[0])
 
-    def test_parallel_workers_match_sequential(self, tiny_ds):
+    def test_parallel_workers_match_sequential(self, tiny_ds, monkeypatch):
         config = small_config(method="ot", epochs=1)
         sequential = alpha_sweep(tiny_ds, config, [1e-3, 1e-1], seeds=[0, 1])
-        os.environ["OTDA_THREADS"] = "2"
+        monkeypatch.setenv("OTDA_THREADS", "2")
+        parallel = alpha_sweep(tiny_ds, config, [1e-3, 1e-1], seeds=[0, 1])
+        assert parallel.to_json_dict() == sequential.to_json_dict()
+        for seq_row, par_row in zip(sequential.reports, parallel.reports):
+            assert [r.to_json_dict() for r in par_row] == [r.to_json_dict() for r in seq_row]
+
+
+def _worker_state():
+    import otda.da_train
+
+    return _openblas_function("get_num_threads")(), otda.da_train._worker_dataset is not None
+
+
+class TestWorkerPool:
+    def test_run_seeds_parallel_matches_sequential(self, tiny_ds, monkeypatch):
+        config = small_config(method="dann", epochs=1)
+        sequential = run_seeds(tiny_ds, config, [0, 1, 2], keep_params=True)
+        monkeypatch.setenv("OTDA_THREADS", "2")
+        parallel = run_seeds(tiny_ds, config, [0, 1, 2], keep_params=True)
+        assert [r.seed for r, _ in parallel] == [0, 1, 2]
+        for (seq_report, seq_params), (par_report, par_params) in zip(sequential, parallel):
+            assert par_report.to_json_dict() == seq_report.to_json_dict()
+            assert [a.tobytes() for a in model_arrays(par_params)] == [a.tobytes() for a in model_arrays(seq_params)]
+
+    def test_workers_run_one_blas_thread(self, tiny_ds):
+        set_threads = _openblas_function("set_num_threads")
+        if set_threads is None or _openblas_function("get_num_threads") is None:
+            pytest.skip("numpy exposes no OpenBLAS thread controls")
+        before = _openblas_function("get_num_threads")()
+        # Two threads in the parent, so a worker that kept them would show it.
+        set_threads(2)
         try:
-            parallel = alpha_sweep(tiny_ds, config, [1e-3, 1e-1], seeds=[0, 1])
+            with _worker_pool(tiny_ds, 1) as pool:
+                threads, has_dataset = pool.submit(_worker_state).result()
         finally:
-            os.environ.pop("OTDA_THREADS")
-        assert np.array_equal(sequential.val_acc, parallel.val_acc)
-        assert np.array_equal(sequential.test_acc, parallel.test_acc)
+            set_threads(before)
+        assert threads == 1
+        assert has_dataset
 
 
 class TestReportStructures:
