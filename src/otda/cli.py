@@ -63,8 +63,16 @@ def _add_train_flags(p: argparse.ArgumentParser, default_method: str = "ot") -> 
     p.add_argument("--out", type=str, required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigurationError, so they end in the JSON error
+    object like every other bad input; subparsers inherit this class."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="otda", description=__doc__)
+    parser = _Parser(prog="otda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic benchmark")
@@ -168,9 +176,9 @@ def _load_dataset(path_str: str, swap: bool = False) -> data_gen.DomainDataset:
     return data_gen.swap_val_test(dataset) if swap else dataset
 
 
-def _write_snapshot(out: Path, payload: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _snapshot_from_args(args: argparse.Namespace, extra: dict | None = None) -> dict:
@@ -186,14 +194,8 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
     save_report(report, out / f"report_{run_id}.json")
     write_epoch_csv(report, out / "tables" / f"epochs_{run_id}.csv")
     save_checkpoint(params, out / f"checkpoint_{run_id}.json")
-    (out / "metrics.json").write_text(
-        json.dumps(
-            {"run_id": run_id, "selected_epoch": report.selected_epoch, "final": report.final},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    metrics = {"run_id": run_id, "selected_epoch": report.selected_epoch, "final": report.final}
+    _write_json(out / "metrics.json", metrics)
     epochs = [r.epoch for r in report.epochs]
     line_plot_svg(
         [
@@ -212,9 +214,7 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
         x, y = dataset.split_arrays(split)
         features, _ = forward_features(params, x)
         logits = forward_classifier(params, features)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        curves[split] = roc_auc(exp[:, 1] / exp.sum(axis=1), y)
+        curves[split] = roc_auc(eval_report.softmax_scores(logits), y)
         idx = dataset.split_indices(split)
         eval_report.write_embedding_csv(
             pca_project(features), y, dataset.domain_ids[idx],
@@ -222,12 +222,9 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
         )
     eval_report.write_roc_plot(curves, out / "plots" / f"roc_{run_id}.svg")
     if dataset.subclusters is not None:
-        x, y = dataset.split_arrays("test")
-        features, _ = forward_features(params, x)
-        preds = np.argmax(forward_classifier(params, features), axis=1)
-        idx = dataset.split_indices("test")
+        # logits, y and idx still hold the test split, the loop's last
         cells = subcluster_breakdown(
-            preds, y, dataset.subclusters[idx], dataset.domain_ids[idx],
+            np.argmax(logits, axis=1), y, dataset.subclusters[idx], dataset.domain_ids[idx],
             masked_tag=data_gen.masked_tag(),
         )
         write_breakdown_table(cells, out / "tables" / f"subcluster_{run_id}.csv")
@@ -244,7 +241,7 @@ def _cmd_gen_data(args) -> int:
     dataset = data_gen.generate(config)
     out.mkdir(parents=True, exist_ok=True)
     data_gen.save(dataset, out / "dataset.csv")
-    _write_snapshot(out, _snapshot_from_args(args))
+    _write_json(out / "config.json", _snapshot_from_args(args))
     print(f"wrote {out / 'dataset.csv'} ({dataset.features.shape[0]} samples)")
     return 0
 
@@ -254,7 +251,7 @@ def _cmd_train(args) -> int:
     config = _train_config(args)
     report, params = train_with_model(dataset, config)
     out = Path(args.out)
-    _write_snapshot(out, _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     _emit_run_outputs(out, report, params, dataset)
     final = report.final
     print(
@@ -274,8 +271,8 @@ def _cmd_sweep(args) -> int:
     config = _train_config(args)
     sweep = alpha_sweep(dataset, config, alphas, seeds)
     out = Path(args.out)
-    _write_snapshot(out, _snapshot_from_args(args, {"resolved": config.snapshot()}))
-    (out / "sweep.json").write_text(json.dumps(sweep.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    _write_json(out / "sweep.json", sweep.to_json_dict())
     eval_report.write_alpha_table(
         sweep.alphas,
         list(zip(sweep.val_means, sweep.val_stds)),
@@ -298,15 +295,13 @@ def _cmd_posthoc(args) -> int:
         dataset, params, epsilon=epsilon, metric=_METRIC_FLAGS[args.metric]
     )
     out = Path(args.out)
-    _write_snapshot(out, _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     summary = posthoc_align.posthoc_summary(results)
-    (out / "posthoc.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "posthoc.json", summary)
     rows = [["split", "pre_accuracy", "post_accuracy"]]
     for split in ("val", "test"):
         rows.append([split, f"{summary[split]['pre_accuracy']:.6f}", f"{summary[split]['post_accuracy']:.6f}"])
-    tables = out / "tables"
-    tables.mkdir(parents=True, exist_ok=True)
-    (tables / "posthoc.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    eval_report._write_csv(out / "tables" / "posthoc.csv", rows)
     save_report(report, out / f"report_{report.run_id()}.json")
     print(
         "posthoc test accuracy: "
@@ -320,25 +315,17 @@ def _cmd_swap_eval(args) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     out = Path(args.out)
     config = _train_config(args)
-    _write_snapshot(out, _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     stats = {}
     reports = []
     for method in ("erm", "ot", "dann"):
-        method_config = replace(config, method=method)
-        runs = run_seeds(dataset, method_config, seeds)
+        runs = run_seeds(dataset, replace(config, method=method), seeds)
         reports.extend(runs)
-        vals = np.array([r.final["val"]["accuracy"] for r in runs])
-        tests = np.array([r.final["test"]["accuracy"] for r in runs])
-        stats[method] = {
-            "val_mean": float(vals.mean()),
-            "val_std": float(vals.std(ddof=1)) if len(seeds) > 1 else 0.0,
-            "test_mean": float(tests.mean()),
-            "test_std": float(tests.std(ddof=1)) if len(seeds) > 1 else 0.0,
-        }
+        stats[method] = eval_report.method_stats(runs)
     eval_report.write_method_table(stats, out / "tables" / "swap_comparison.csv")
     for report in reports:
         save_report(report, out / f"report_{report.run_id()}.json")
-    (out / "swap.json").write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "swap.json", stats)
     print(
         "swapped-split test accuracy: "
         + ", ".join(f"{m}={stats[m]['test_mean']:.3f}" for m in ("erm", "ot", "dann"))
@@ -456,21 +443,16 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; those are configuration errors here
-        return 0 if exc.code == 0 else 1
-    try:
         _apply_config_file(args, parser)
         if args.command == "dann":
             args.method = "dann"
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help prints its text and exits 0
+        return exc.code
     except NumericError as exc:
         _emit_error(exc)
         return 2
-    except OtdaError as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
+    except (OtdaError, OSError) as exc:
         _emit_error(exc)
         return 1
 

@@ -18,16 +18,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
 from .data_gen import DomainDataset
-from .errors import ConfigurationError, ContractViolationError
-from .eval_report import accuracy, roc_auc
+from .errors import ConfigurationError, ContractViolationError, ParseError
+from .eval_report import accuracy, mean_std, roc_auc, softmax_scores
 from .nn_core import (
-    ModelGrads,
     ModelParams,
     OptimizerConfig,
     _head_backward,
@@ -76,30 +76,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown metric {self.metric!r}")
 
     def snapshot(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "optimizer": {
-                "learning_rate": self.optimizer.learning_rate,
-                "momentum": self.optimizer.momentum,
-                "weight_decay": self.optimizer.weight_decay,
-            },
-            "sinkhorn": {
-                "epsilon": self.sinkhorn.epsilon,
-                "max_iterations": self.sinkhorn.max_iterations,
-                "marginal_tolerance": self.sinkhorn.marginal_tolerance,
-                "log_domain": self.sinkhorn.log_domain,
-                "relative_epsilon": self.sinkhorn.relative_epsilon,
-            },
-            "seed": self.seed,
-            "early_stopping": self.early_stopping,
-            "metric": self.metric,
-            "feature_widths": list(self.feature_widths),
-            "classifier_widths": list(self.classifier_widths),
-            "domain_head_widths": list(self.domain_head_widths),
-        }
+        # widths become lists, so a snapshot equals its JSON round trip
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -109,7 +87,7 @@ class EpochRecord:
     aux_loss: float  # transport or adversary loss; 0 for erm
     val_accuracy: float
     test_accuracy: float
-    wall_seconds: float
+    wall_seconds: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.ce_loss) and np.isfinite(self.aux_loss)):
@@ -131,51 +109,16 @@ class RunReport:
         return f"{self.config['method']}_a{self.config['alpha']:g}_s{self.seed}"
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "selected_epoch": self.selected_epoch,
-            "final": self.final,
-            "epochs": [
-                {
-                    "epoch": r.epoch,
-                    "ce_loss": r.ce_loss,
-                    "aux_loss": r.aux_loss,
-                    "val_accuracy": r.val_accuracy,
-                    "test_accuracy": r.test_accuracy,
-                    # timing is machine noise; serialized reports stay reproducible
-                    "wall_seconds": r.wall_seconds if include_timing else 0.0,
-                }
-                for r in self.epochs
-            ],
-        }
+        payload = asdict(self)
+        if not include_timing:
+            # timing is machine noise; serialized reports stay reproducible
+            for record in payload["epochs"]:
+                record["wall_seconds"] = 0.0
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunReport":
-        epochs = [
-            EpochRecord(
-                epoch=e["epoch"],
-                ce_loss=e["ce_loss"],
-                aux_loss=e["aux_loss"],
-                val_accuracy=e["val_accuracy"],
-                test_accuracy=e["test_accuracy"],
-                wall_seconds=e.get("wall_seconds", 0.0),
-            )
-            for e in payload["epochs"]
-        ]
-        return cls(
-            config=payload["config"],
-            epochs=epochs,
-            selected_epoch=payload["selected_epoch"],
-            final=payload["final"],
-            seed=payload["seed"],
-        )
-
-
-def _softmax_scores(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp[:, 1] / exp.sum(axis=1)
+        return cls(**{**payload, "epochs": [EpochRecord(**e) for e in payload["epochs"]]})
 
 
 def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
@@ -184,7 +127,7 @@ def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
     acc = accuracy(logits, y)
     auc = None
     if logits.shape[1] == 2 and len(set(y.tolist())) == 2:
-        auc = roc_auc(_softmax_scores(logits), y).auc
+        auc = roc_auc(softmax_scores(logits), y).auc
     return {"accuracy": acc, "auc": auc}
 
 
@@ -200,76 +143,79 @@ def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray) ->
     return loss, grads
 
 
-def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_batch, config: TrainConfig) -> tuple:
-    """Losses and exact parameter gradients of CE + alpha * OT without taking
-    a step. Returns (ce_loss, ot_loss, grads)."""
-    xs, ys = source_batch
-    if len(xs) == 0:
-        raise ContractViolationError("empty source batch")
-    use_ot = config.method == "ot" and config.alpha > 0
-    if use_ot:
-        if target_batch is None or len(target_batch) == 0:
-            raise ContractViolationError("empty target batch")
-        if len(target_batch) != len(xs):
-            raise ContractViolationError(
-                f"method 'ot' pairs equal-size batches; got {len(xs)} source and {len(target_batch)} target"
-            )
-    features_s, trace_s = forward_features(params, xs)
-    logits = forward_classifier(params, features_s)
-    ce_loss, dlogits = cross_entropy(logits, ys)
-    if use_ot:
-        features_t, trace_t = forward_features(params, target_batch)
-        ot_loss, grad_s, grad_t = ot_value_and_point_grads(
-            features_s, features_t, config.sinkhorn, config.metric
+def _transport_term(params: ModelParams, features_s, features_t, config: TrainConfig) -> tuple:
+    """Entropic OT between the two feature batches."""
+    if len(features_t) != len(features_s):
+        raise ContractViolationError(
+            f"method 'ot' pairs equal-size batches; got {len(features_s)} source and {len(features_t)} target"
         )
-        grads = backward(params, trace_s, config.alpha * grad_s, dlogits)
-        grads = grads.add(backward(params, trace_t, config.alpha * grad_t, None))
-    else:
-        ot_loss = 0.0
-        grads = backward(params, trace_s, None, dlogits)
-    return ce_loss, ot_loss, grads
+    ot_loss, grad_s, grad_t = ot_value_and_point_grads(features_s, features_t, config.sinkhorn, config.metric)
+    return ot_loss, grad_s, grad_t, None
 
 
-def composite_loss_step(params: ModelParams, source_batch: tuple, target_batch, config: TrainConfig) -> tuple:
-    """One SGD step on CE + alpha * OT(features_s, features_t).
-
-    For method "erm" (or alpha == 0) the transport term is skipped entirely,
-    making the update identical to a plain erm step. Sinkhorn failure aborts
-    the step by raising, so a sweep never silently drops its alignment term.
-    """
-    ce_loss, ot_loss, grads = composite_loss_and_grads(params, source_batch, target_batch, config)
-    return sgd_step(params, grads, config.optimizer), ce_loss, ot_loss
-
-
-def dann_step(params: ModelParams, source_batch: tuple, target_batch: np.ndarray, config: TrainConfig) -> tuple:
-    """One SGD step of adversarial training: the domain head learns to tell
-    source from target features while the featurizer receives that gradient
-    reversed and scaled by alpha. Task and domain heads train normally."""
-    xs, ys = source_batch
-    if len(xs) == 0 or target_batch is None or len(target_batch) == 0:
-        raise ContractViolationError("empty batch")
+def _adversary_term(params: ModelParams, features_s, features_t, config: TrainConfig) -> tuple:
+    """Domain-head BCE on telling source (0) from target (1) features; the
+    featurizer receives the head's input gradient reversed."""
     if params.domain_head is None:
-        raise ContractViolationError("dann_step needs a model with a domain head")
-    features_s, trace_s = forward_features(params, xs)
-    logits = forward_classifier(params, features_s)
-    ce_loss, dlogits = cross_entropy(logits, ys)
-
-    features_t, trace_t = forward_features(params, target_batch)
+        raise ContractViolationError("method 'dann' needs a model with a domain head")
+    n = len(features_s)
     stacked = np.vstack([features_s, features_t])
-    domain_targets = np.concatenate([np.zeros(len(xs)), np.ones(len(target_batch))])
+    domain_targets = np.concatenate([np.zeros(n), np.ones(len(features_t))])
     head_out, head_inputs, head_preacts = _head_forward(params.domain_head, stacked)
     domain_loss, dhead = binary_cross_entropy_with_logits(head_out, domain_targets)
     head_grads, dstacked = _head_backward(params.domain_head, head_inputs, head_preacts, dhead)
+    return domain_loss, -dstacked[:n], -dstacked[n:], head_grads
 
+
+# An alignment term maps (params, features_s, features_t, config) to
+# (loss, dfeat_s, dfeat_t, head_grads); the featurizer receives alpha * dfeat.
+_ALIGNMENT_TERMS = {"ot": _transport_term, "dann": _adversary_term}
+
+
+def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_batch, config: TrainConfig) -> tuple:
+    """Losses and exact parameter gradients of CE + alpha * the method's
+    alignment term, without taking a step. Returns (ce_loss, aux_loss, grads).
+
+    erm has no term. The transport term is skipped at alpha == 0, and the
+    adversary then trains only its head, so every method at alpha 0 moves
+    featurizer and classifier exactly as erm does.
+    """
+    xs, ys = source_batch
+    if len(xs) == 0:
+        raise ContractViolationError("empty source batch")
+    term = None if config.method == "ot" and config.alpha == 0 else _ALIGNMENT_TERMS.get(config.method)
+    if term is not None and (target_batch is None or len(target_batch) == 0):
+        raise ContractViolationError("empty target batch")
+    features_s, trace_s = forward_features(params, xs)
+    logits = forward_classifier(params, features_s)
+    ce_loss, dlogits = cross_entropy(logits, ys)
+    if term is None:
+        return ce_loss, 0.0, backward(params, trace_s, None, dlogits)
+    features_t, trace_t = forward_features(params, target_batch)
+    aux_loss, dfeat_s, dfeat_t, head_grads = term(params, features_s, features_t, config)
     if config.alpha > 0:
-        dfeat_s = -config.alpha * dstacked[: len(xs)]
-        dfeat_t = -config.alpha * dstacked[len(xs):]
-        grads = backward(params, trace_s, dfeat_s, dlogits)
-        grads = grads.add(backward(params, trace_t, dfeat_t, None))
+        grads = backward(params, trace_s, config.alpha * dfeat_s, dlogits)
+        grads = grads.add(backward(params, trace_t, config.alpha * dfeat_t, None))
     else:
         grads = backward(params, trace_s, None, dlogits)
     grads.domain_head = head_grads
-    return sgd_step(params, grads, config.optimizer), ce_loss, domain_loss
+    return ce_loss, aux_loss, grads
+
+
+def composite_loss_step(params: ModelParams, source_batch: tuple, target_batch, config: TrainConfig) -> tuple:
+    """One SGD step on CE + alpha * the alignment term of config.method.
+    Returns (params, ce_loss, aux_loss).
+
+    Sinkhorn failure aborts the step by raising, so a sweep never silently
+    drops its alignment term.
+    """
+    ce_loss, aux_loss, grads = composite_loss_and_grads(params, source_batch, target_batch, config)
+    return sgd_step(params, grads, config.optimizer), ce_loss, aux_loss
+
+
+def dann_step(params: ModelParams, source_batch: tuple, target_batch: np.ndarray, config: TrainConfig) -> tuple:
+    """composite_loss_step with the adversary term whatever config.method says."""
+    return composite_loss_step(params, source_batch, target_batch, replace(config, method="dann"))
 
 
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
@@ -294,7 +240,6 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     )
     rng = np.random.default_rng([int(config.seed), 2])
     n_train, n_val = len(x_train), len(x_val)
-    step = dann_step if config.method == "dann" else composite_loss_step
 
     records = []
     finals = []
@@ -310,7 +255,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
             idx = perm[start:start + config.batch_size]
             take = (cursor + np.arange(len(idx))) % n_val
             cursor = int((cursor + len(idx)) % n_val)
-            params, ce_loss, aux_loss = step(
+            params, ce_loss, aux_loss = composite_loss_step(
                 params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
             )
             ce_sum += ce_loss
@@ -433,19 +378,19 @@ class SweepResult:
 
     @property
     def val_means(self):
-        return self.val_acc.mean(axis=1)
+        return mean_std(self.val_acc)[0]
 
     @property
     def val_stds(self):
-        return self.val_acc.std(axis=1, ddof=1) if self.val_acc.shape[1] > 1 else np.zeros(len(self.alphas))
+        return mean_std(self.val_acc)[1]
 
     @property
     def test_means(self):
-        return self.test_acc.mean(axis=1)
+        return mean_std(self.test_acc)[0]
 
     @property
     def test_stds(self):
-        return self.test_acc.std(axis=1, ddof=1) if self.test_acc.shape[1] > 1 else np.zeros(len(self.alphas))
+        return mean_std(self.test_acc)[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -484,7 +429,7 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds=
     reports = [flat[i * len(seeds):(i + 1) * len(seeds)] for i in range(len(alphas))]
     val_acc = np.array([[r.final["val"]["accuracy"] for r in row] for row in reports])
     test_acc = np.array([[r.final["test"]["accuracy"] for r in row] for row in reports])
-    selected_alpha = alphas[int(np.argmax(val_acc.mean(axis=1)))]
+    selected_alpha = alphas[int(np.argmax(mean_std(val_acc)[0]))]
     return SweepResult(alphas, seeds, val_acc, test_acc, selected_alpha, reports)
 
 
@@ -496,21 +441,18 @@ def run_seeds(dataset: DomainDataset, config: TrainConfig, seeds, keep_params: b
 
 
 def save_report(report: RunReport, path, include_timing: bool = False) -> None:
-    from pathlib import Path
-
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(report.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n")
 
 
 def load_report(path) -> RunReport:
-    from pathlib import Path
-
-    return RunReport.from_json_dict(json.loads(Path(path).read_text()))
+    try:
+        return RunReport.from_json_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: not a run report: {exc}") from exc
 
 
 def write_epoch_csv(report: RunReport, path) -> None:
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["epoch,ce_loss,aux_loss,val_accuracy,test_accuracy"]

@@ -30,6 +30,13 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(preds == labels))
 
 
+def softmax_scores(logits: np.ndarray) -> np.ndarray:
+    """Class-1 softmax probability of each row of two-class logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp[:, 1] / exp.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray  # descending; starts at +inf
@@ -138,6 +145,24 @@ def pca_project(features: np.ndarray) -> np.ndarray:
         if components[lead, j] < 0:
             components[:, j] = -components[:, j]
     return centered @ components
+
+
+def mean_std(values) -> tuple:
+    """Mean and sample standard deviation (ddof 1) over the last axis, which
+    holds the seeds; the deviation of a single seed is 0."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] > 1:
+        return values.mean(axis=-1), values.std(axis=-1, ddof=1)
+    return values.mean(axis=-1), np.zeros(values.shape[:-1])
+
+
+def method_stats(reports) -> dict:
+    """val_mean/val_std/test_mean/test_std of the runs' final accuracies."""
+    stats = {}
+    for split in ("val", "test"):
+        mean, std = mean_std([r.final[split]["accuracy"] for r in reports])
+        stats[f"{split}_mean"], stats[f"{split}_std"] = float(mean), float(std)
+    return stats
 
 
 def format_mean_std(mean: float, std: float) -> str:
@@ -297,30 +322,17 @@ def write_roc_plot(curves: dict, path) -> Path:
     return line_plot_svg(series, "ROC", "false positive rate", "true positive rate", path)
 
 
-def emit_tables(reports: list, out_dir, sweep=None, breakdown_cells=None, roc_curves=None) -> list:
+def emit_tables(reports: list, out_dir) -> list:
     """Emit the standard report bundle for a list of RunReports: per-method
-    comparison table, per-run epoch curves, and any optional extras supplied.
-    Returns the written paths."""
+    comparison table and per-run epoch curves. Returns the written paths."""
     if not reports:
         raise ContractViolationError("need at least one report to emit")
     out = Path(out_dir)
-    written = []
-
     by_method = {}
     for rep in reports:
         by_method.setdefault(rep.config["method"], []).append(rep)
-    stats = {}
-    for method in sorted(by_method):
-        group = by_method[method]
-        vals = np.array([r.final["val"]["accuracy"] for r in group])
-        tests = np.array([r.final["test"]["accuracy"] for r in group])
-        stats[method] = {
-            "val_mean": float(vals.mean()),
-            "val_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            "test_mean": float(tests.mean()),
-            "test_std": float(tests.std(ddof=1)) if tests.size > 1 else 0.0,
-        }
-    written.append(write_method_table(stats, out / "tables" / "method_comparison.csv"))
+    stats = {method: method_stats(by_method[method]) for method in sorted(by_method)}
+    written = [write_method_table(stats, out / "tables" / "method_comparison.csv")]
 
     for rep in reports:
         run_id = rep.run_id()
@@ -339,18 +351,4 @@ def emit_tables(reports: list, out_dir, sweep=None, breakdown_cells=None, roc_cu
                 out / "plots" / f"curves_{run_id}.svg",
             )
         )
-
-    if sweep is not None:
-        written.append(
-            write_alpha_table(
-                sweep.alphas,
-                list(zip(sweep.val_means, sweep.val_stds)),
-                list(zip(sweep.test_means, sweep.test_stds)),
-                out / "tables" / "alpha_sweep.csv",
-            )
-        )
-    if breakdown_cells is not None:
-        written.append(write_breakdown_table(breakdown_cells, out / "tables" / "subcluster_breakdown.csv"))
-    if roc_curves:
-        written.append(write_roc_plot(roc_curves, out / "plots" / "roc.svg"))
     return written

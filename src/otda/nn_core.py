@@ -371,6 +371,8 @@ def _layers_from_json(spec, where):
             raise ParseError(f"{where}: malformed layer {i}: {exc}") from exc
         if bias.shape != (shape[1],):
             raise ParseError(f"{where}: layer {i} bias length {bias.shape} does not match shape {shape}")
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+            raise ParseError(f"{where}: layer {i} holds a non-finite weight or bias")
         layers.append(DenseLayer(weight, bias))
     return layers
 

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 DEFAULT_EPSILON = 2.0
 MAX_SOURCE_ROWS = 2048
+MAX_ITERATIONS = 1000
+MARGINAL_TOLERANCE = 1e-6
+SUBSAMPLE_SEED = 0
 
 
 @dataclass
@@ -43,8 +46,6 @@ def barycentric_map(
     target_features: np.ndarray,
     epsilon: float = DEFAULT_EPSILON,
     metric: str = EUCLIDEAN,
-    max_iterations: int = 1000,
-    marginal_tolerance: float = 1e-6,
 ) -> tuple:
     """Map target features into the convex hull of the source features.
 
@@ -67,8 +68,8 @@ def barycentric_map(
     config = SinkhornConfig(
         epsilon=epsilon,
         relative_epsilon=False,
-        max_iterations=max_iterations,
-        marginal_tolerance=marginal_tolerance,
+        max_iterations=MAX_ITERATIONS,
+        marginal_tolerance=MARGINAL_TOLERANCE,
         log_domain=True,
     )
     plan = sinkhorn(cost, target_measure, source_measure, config)
@@ -85,18 +86,18 @@ def evaluate_posthoc(
     epsilon: float = DEFAULT_EPSILON,
     metric: str = EUCLIDEAN,
     max_source_rows: int = MAX_SOURCE_ROWS,
-    subsample_seed: int = 0,
 ) -> dict:
     """Align val and test features onto the training features of a frozen
     erm model and report accuracy before and after alignment per split.
 
-    The source side is capped at max_source_rows rows (seeded subsample) to
-    bound the transport problem. Returns {"val": AlignmentResult, "test": ...}.
+    The source side is capped at max_source_rows rows (a subsample seeded by
+    SUBSAMPLE_SEED) to bound the transport problem. Returns
+    {"val": AlignmentResult, "test": ...}.
     """
     x_train, _ = dataset.split_arrays("train")
     source_features, _ = forward_features(erm_params, x_train)
     if source_features.shape[0] > max_source_rows:
-        rng = np.random.default_rng([int(subsample_seed), 3])
+        rng = np.random.default_rng([SUBSAMPLE_SEED, 3])
         keep = rng.permutation(source_features.shape[0])[:max_source_rows]
         source_features = source_features[np.sort(keep)]
 

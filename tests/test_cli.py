@@ -88,6 +88,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--alpha", "-inf"], ["--bogus"], ["--method", "sgd"]])
+    def test_usage_error_is_json_config_error(self, data_dir, tmp_path, capsys, flags):
+        code = run(small_train_args(data_dir, tmp_path / "x") + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert json.loads(err)["error"] == "ConfigurationError"
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["train", "--help"]) == 0
+        assert "--alpha" in capsys.readouterr().out
+
     def test_missing_data_is_config_error(self, tmp_path, capsys):
         code = run(["train", "--method", "erm", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err

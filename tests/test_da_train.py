@@ -1,14 +1,20 @@
 """Training harness: step semantics, ERM degeneracy, gradient reversal,
 composite-loss gradcheck, determinism, leakage, early stopping, and sweeps."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import central_diff, grads_arrays, model_arrays, params_equal, rel_err
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import (
+    METHODS,
+    EpochRecord,
+    RunReport,
     SweepResult,
     TrainConfig,
     _openblas_function,
@@ -18,11 +24,13 @@ from otda.da_train import (
     composite_loss_and_grads,
     composite_loss_step,
     dann_step,
+    load_report,
     run_seeds,
+    save_report,
     train,
     train_with_model,
 )
-from otda.errors import ConfigurationError, ContractViolationError
+from otda.errors import ConfigurationError, ContractViolationError, ParseError
 from otda.nn_core import _head_backward, _head_forward, backward, cross_entropy, forward_classifier, forward_features, init_model
 from otda.ot_core import SinkhornConfig
 
@@ -132,6 +140,26 @@ class TestDannStep:
         assert domain_loss == pytest.approx(np.log(2.0), abs=1e-12)
         assert params_equal(stepped.featurizer, stepped_ref.featurizer)
 
+    def test_composite_step_takes_the_dann_step_bitwise(self, tiny_ds):
+        rng = np.random.default_rng(7)
+        source, target = batch_from(tiny_ds, rng)
+        params = init_model(8, domain_head_widths=(16,), seed=9)
+        config = small_config(method="dann", alpha=0.4)
+        via_dann, ce_a, aux_a = dann_step(params, source, target, config)
+        via_composite, ce_b, aux_b = composite_loss_step(params, source, target, config)
+        assert (ce_a, aux_a) == (ce_b, aux_b)
+        assert [a.tobytes() for a in model_arrays(via_dann)] == [a.tobytes() for a in model_arrays(via_composite)]
+
+    def test_dann_step_ignores_the_configured_method(self, tiny_ds):
+        rng = np.random.default_rng(8)
+        source, target = batch_from(tiny_ds, rng)
+        params = init_model(8, domain_head_widths=(16,), seed=10)
+        reference, _, domain_loss = dann_step(params, source, target, small_config(method="dann", alpha=0.4))
+        stepped, _, aux_loss = dann_step(params, source, target, small_config(method="ot", alpha=0.4))
+        assert aux_loss == domain_loss
+        assert [a.tobytes() for a in model_arrays(stepped)] == [a.tobytes() for a in model_arrays(reference)]
+        assert not params_equal(params.domain_head, stepped.domain_head)
+
     def test_gradient_reversal_sign(self, tiny_ds):
         rng = np.random.default_rng(6)
         (xs, ys), xt = batch_from(tiny_ds, rng)
@@ -157,6 +185,10 @@ class TestDannStep:
         for (bw, bb), (uw, ub), (rw, rb) in zip(base.featurizer, unreversed.featurizer, reversed_grads.featurizer):
             assert np.allclose(rw, bw - alpha * uw, atol=1e-12)
             assert np.allclose(rb, bb - alpha * ub, atol=1e-12)
+        # the training step's gradients are these reversed ones, bit for bit
+        _, _, step_grads = composite_loss_and_grads(params, (xs, ys), xt, small_config(method="dann", alpha=alpha))
+        for a, b in zip(grads_arrays(step_grads), grads_arrays(reversed_grads)):
+            assert np.array_equal(a, b)
 
 
 class TestTrain:
@@ -296,3 +328,54 @@ class TestReportStructures:
         payload = json.loads((tmp_path / "r.json").read_text())
         assert all(e["wall_seconds"] == 0.0 for e in payload["epochs"])
         assert any(r.wall_seconds > 0 for r in report.epochs)
+
+
+_unit = st.floats(0.0, 1.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_reports(draw):
+    epochs = [
+        EpochRecord(epoch=i, ce_loss=draw(_finite), aux_loss=draw(_finite), val_accuracy=draw(_unit),
+                    test_accuracy=draw(_unit), wall_seconds=draw(st.floats(0.0, 1e6)))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    split = st.fixed_dictionaries({"accuracy": _unit, "auc": st.none() | _unit})
+    return RunReport(
+        config={"method": draw(st.sampled_from(METHODS)), "alpha": draw(st.floats(0.0, 10.0)),
+                "feature_widths": draw(st.lists(st.integers(1, 64), max_size=3))},
+        epochs=epochs,
+        selected_epoch=draw(st.integers(0, len(epochs) - 1)),
+        final=draw(st.fixed_dictionaries({"val": split, "test": split, "train": split})),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+_io_settings = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReportJsonRoundTrip:
+    @_io_settings
+    @given(report=run_reports(), include_timing=st.booleans())
+    def test_save_then_load_keeps_the_json_dict(self, tmp_path, report, include_timing):
+        save_report(report, tmp_path / "r.json", include_timing)
+        loaded = load_report(tmp_path / "r.json")
+        assert loaded.to_json_dict(include_timing) == report.to_json_dict(include_timing)
+        if not include_timing:
+            assert all(e.wall_seconds == 0.0 for e in loaded.epochs)
+
+    @_io_settings
+    @given(report=run_reports())
+    def test_report_without_wall_seconds_loads(self, tmp_path, report):
+        payload = report.to_json_dict()
+        for record in payload["epochs"]:
+            del record["wall_seconds"]
+        (tmp_path / "r.json").write_text(json.dumps(payload))
+        assert load_report(tmp_path / "r.json").to_json_dict() == report.to_json_dict()
+
+    @pytest.mark.parametrize("text", ["not json", '{"config": {}}', '{"unknown": 1}'])
+    def test_malformed_report_is_parse_error(self, tmp_path, text):
+        (tmp_path / "r.json").write_text(text)
+        with pytest.raises(ParseError):
+            load_report(tmp_path / "r.json")

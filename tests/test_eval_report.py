@@ -16,6 +16,8 @@ from otda.eval_report import (
     emit_tables,
     format_mean_std,
     line_plot_svg,
+    mean_std,
+    method_stats,
     pca_project,
     roc_auc,
     subcluster_breakdown,
@@ -188,6 +190,23 @@ def _report(method, alpha, seed, val, test):
 class TestEmitters:
     def test_mean_std_format(self):
         assert format_mean_std(0.891, 0.005) == "0.891 (0.005)"
+
+    def test_mean_std_matches_numpy_sample_std(self):
+        values = np.random.default_rng(0).random((3, 4))
+        mean, std = mean_std(values)
+        assert np.array_equal(mean, values.mean(axis=1))
+        assert np.array_equal(std, np.std(values, axis=1, ddof=1))
+
+    def test_mean_std_of_one_seed_is_zero(self):
+        mean, std = mean_std(np.array([[0.25], [0.5]]))
+        assert mean.tolist() == [0.25, 0.5] and std.tolist() == [0.0, 0.0]
+        assert mean_std([0.7]) == (0.7, 0.0)
+
+    def test_method_stats(self):
+        stats = method_stats([_report("ot", 0.1, s, 0.9 - 0.1 * s, 0.8) for s in range(2)])
+        assert stats["val_mean"] == pytest.approx(0.85)
+        assert stats["val_std"] == pytest.approx(np.std([0.9, 0.8], ddof=1))
+        assert stats["test_mean"] == pytest.approx(0.8) and stats["test_std"] == 0.0
 
     def test_single_run_method_table(self, tmp_path):
         files = emit_tables([_report("ot", 0.1, 0, 0.9, 0.8)], tmp_path)

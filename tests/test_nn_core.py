@@ -1,8 +1,13 @@
 """Network stack: forward semantics, finite-difference-verified backprop,
 optimizer closed forms, initialization scale, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import central_diff, grads_arrays, model_arrays, params_equal, rel_err
 from otda.errors import ContractViolationError, ParseError
@@ -242,5 +247,28 @@ class TestCheckpoint:
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_round_trip_is_bitwise(self, tmp_path, data):
+        params = tiny_model(seed=3, domain_head=True)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        for layer in params.featurizer + params.classifier + params.domain_head:
+            layer.weight[...] = data.draw(arrays(float, layer.weight.shape, elements=finite))
+            layer.bias[...] = data.draw(arrays(float, layer.bias.shape, elements=finite))
+        save_checkpoint(params, tmp_path / "model.json")
+        loaded = load_checkpoint(tmp_path / "model.json")
+        assert [a.tobytes() for a in model_arrays(loaded)] == [a.tobytes() for a in model_arrays(params)]
+
+    @pytest.mark.parametrize("field", ["weight", "bias"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_checkpoint(tiny_model(seed=4), path)
+        payload = json.loads(path.read_text())
+        payload["classifier"][0][field][0] = value
+        path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
             load_checkpoint(path)
