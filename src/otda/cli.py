@@ -37,13 +37,6 @@ from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig
 _METRIC_FLAGS = {"euclidean": EUCLIDEAN, "squared": SQUARED_EUCLIDEAN}
 
 
-def _bool_flag(value: str) -> bool:
-    low = value.lower()
-    if low not in ("true", "false"):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
-    return low == "true"
-
-
 def _add_train_flags(p: argparse.ArgumentParser, default_method: str = "ot") -> None:
     p.add_argument("--method", choices=["erm", "ot", "dann"], default=default_method)
     p.add_argument("--alpha", type=float, default=0.1)
@@ -56,7 +49,6 @@ def _add_train_flags(p: argparse.ArgumentParser, default_method: str = "ot") -> 
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-3)
     p.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="euclidean")
-    p.add_argument("--log-domain", type=_bool_flag, default=True, metavar="{true,false}")
     p.add_argument("--swap-val-test", action="store_true")
     p.add_argument("--config", type=str, default=None, help="JSON file whose keys override flags")
     p.add_argument("--data", type=str, required=True)
@@ -151,11 +143,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     base = TrainConfig()
-    if args.epsilon is None:
-        sk = replace(base.sinkhorn, log_domain=args.log_domain)
-    else:
-        sk = replace(base.sinkhorn, epsilon=float(args.epsilon), relative_epsilon=False,
-                     log_domain=args.log_domain)
+    sk = base.sinkhorn
+    if args.epsilon is not None:
+        sk = replace(sk, epsilon=float(args.epsilon), relative_epsilon=False)
     return TrainConfig(
         method=args.method,
         alpha=args.alpha,

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Two families matter to callers: configuration/contract problems (bad inputs,
-bad shapes, bad files) and numeric failures (solver divergence, overflow).
+bad shapes, bad files) and numeric failures (Sinkhorn non-convergence, a
+transport plan with an empty row).
 The CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 
@@ -40,10 +41,6 @@ class UndefinedMetricError(OtdaError):
 
 class NumericError(OtdaError):
     """Base class for numeric failures (CLI exit code 2)."""
-
-
-class NumericOverflowError(NumericError):
-    """Non-finite intermediate in a linear-domain computation."""
 
 
 class SinkhornConvergenceError(NumericError):

@@ -324,7 +324,13 @@ def write_roc_plot(curves: dict, path) -> Path:
 
 def emit_tables(reports: list, out_dir) -> list:
     """Emit the standard report bundle for a list of RunReports: per-method
-    comparison table and per-run epoch curves. Returns the written paths."""
+    comparison table and one epoch-curve plot per report. Returns the written
+    paths.
+
+    A run id can repeat (the same run from `train` and from `sweep`): the
+    first report with an id writes curves_<run_id>.svg, and the n-th one, in
+    list order, writes curves_<run_id>_<n>.svg.
+    """
     if not reports:
         raise ContractViolationError("need at least one report to emit")
     out = Path(out_dir)
@@ -334,8 +340,12 @@ def emit_tables(reports: list, out_dir) -> list:
     stats = {method: method_stats(by_method[method]) for method in sorted(by_method)}
     written = [write_method_table(stats, out / "tables" / "method_comparison.csv")]
 
+    seen = {}
     for rep in reports:
         run_id = rep.run_id()
+        seen[run_id] = seen.get(run_id, 0) + 1
+        if seen[run_id] > 1:
+            run_id = f"{run_id}_{seen[run_id]}"
         epochs = [r.epoch for r in rep.epochs]
         series = [
             ("CE loss", epochs, [r.ce_loss for r in rep.epochs]),

@@ -20,7 +20,6 @@ from scipy.spatial.distance import cdist
 from .errors import (
     ConfigurationError,
     ContractViolationError,
-    NumericOverflowError,
     SinkhornConvergenceError,
     UnsupportedInstanceError,
 )
@@ -105,15 +104,11 @@ class TransportPlan:
     """Coupling matrix with solver diagnostics.
 
     gamma: (n_s, n_t) nonnegative coupling.
-    dual_f / dual_g: Sinkhorn potentials in cost units; for a converged solve
-        gamma = exp((dual_f[:, None] + dual_g[None, :] - C) / eps).
     value_cost: <gamma, C>.
     value_regularized: <gamma, C> - eps * H(gamma), the solved objective.
     """
 
     gamma: np.ndarray
-    dual_f: np.ndarray
-    dual_g: np.ndarray
     value_cost: float
     value_regularized: float
     iterations_used: int
@@ -132,7 +127,6 @@ class SinkhornConfig:
     epsilon: float = 0.05
     max_iterations: int = 1000
     marginal_tolerance: float = 1e-6
-    log_domain: bool = True
     relative_epsilon: bool = field(default=True)
 
     def __post_init__(self):
@@ -219,8 +213,6 @@ def exact_ot_bruteforce(cost: CostMatrix, source: DiscreteDistribution, target: 
     gamma[rows, list(best_perm)] = 1.0 / n
     plan = TransportPlan(
         gamma=gamma,
-        dual_f=np.zeros(n),
-        dual_g=np.zeros(n),
         value_cost=best_cost,
         value_regularized=best_cost,
         iterations_used=0,
@@ -259,12 +251,10 @@ def sinkhorn(
     target: DiscreteDistribution,
     config: SinkhornConfig = SinkhornConfig(),
 ) -> TransportPlan:
-    """Alternating marginal scaling until both marginal residuals (max norm)
-    drop below the tolerance or the iteration cap is reached. A converged
-    plan is rounded onto the marginal polytope, so feasibility is exact.
-
-    The log-domain path is safe for any cost/epsilon ratio; the linear path
-    raises NumericOverflowError when the kernel under- or overflows.
+    """Alternating marginal scaling in the log domain, safe for any
+    cost/epsilon ratio, until both marginal residuals (max norm) drop below
+    the tolerance or the iteration cap is reached. A converged plan is
+    rounded onto the marginal polytope, so feasibility is exact.
     """
     C = cost.entries
     if C.shape != (source.n, target.n):
@@ -274,26 +264,13 @@ def sinkhorn(
     a = source.weights
     b = target.weights
     eps = config.resolve_epsilon(C)
-    tol = config.marginal_tolerance
-
-    if config.log_domain:
-        gamma, u, v, iters, converged = _sinkhorn_log(C, a, b, eps, config.max_iterations, tol)
-        dual_f = eps * u
-        dual_g = eps * v
-    else:
-        gamma, su, sv, iters, converged = _sinkhorn_linear(C, a, b, eps, config.max_iterations, tol)
-        with np.errstate(divide="ignore"):
-            dual_f = eps * np.log(su)
-            dual_g = eps * np.log(sv)
-
+    gamma, iters, converged = _sinkhorn_log(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
     if converged:
         gamma = _round_to_feasible(gamma, a, b)
     value_cost = float(np.sum(gamma * C))
     value_reg = value_cost - eps * entropy(gamma)
     return TransportPlan(
         gamma=gamma,
-        dual_f=dual_f,
-        dual_g=dual_g,
         value_cost=value_cost,
         value_regularized=value_reg,
         iterations_used=iters,
@@ -305,17 +282,25 @@ _ANNEAL_RATIO = 3.0
 _ANNEAL_STAGE_ITERATIONS = 30
 
 
+def _scale(log_k, log_a, log_b, v):
+    """One Sinkhorn iteration: the row half-step, then the column half-step."""
+    u = log_a - _logsumexp(log_k + v[None, :], axis=1)
+    v = log_b - _logsumexp(log_k + u[:, None], axis=0)
+    return u, v
+
+
 def _sinkhorn_log(C, a, b, eps, max_iterations, tol):
     with np.errstate(divide="ignore"):
         log_a = np.log(a)
         log_b = np.log(b)
 
     # Warm start by annealing the regularization geometrically from the mean
-    # cost down to the target, carrying the dual potentials (in cost units)
-    # between stages. In the sharp regime (eps far below the cost scale) this
-    # cuts the iteration count by orders of magnitude; the answer is the same
-    # fixed point. At most half the iteration budget goes to warm-up.
-    u = np.zeros_like(a)
+    # cost down to the target, carrying the column potential (in cost units)
+    # between stages; each stage's first half-step rebuilds the row
+    # potential from it. In the sharp regime (eps far below the cost scale)
+    # this cuts the iteration count by orders of magnitude; the answer is the
+    # same fixed point. At most half the iteration budget goes to warm-up, so
+    # the main loop always runs.
     v = np.zeros_like(b)
     iters = 0
     mean_cost = float(np.mean(C))
@@ -325,61 +310,30 @@ def _sinkhorn_log(C, a, b, eps, max_iterations, tol):
         while stage > _ANNEAL_RATIO * eps:
             stages.append(stage)
             stage /= _ANNEAL_RATIO
-        dual_f = np.zeros_like(a)
         dual_g = np.zeros_like(b)
         for stage_eps in stages:
             if iters + _ANNEAL_STAGE_ITERATIONS > max_iterations // 2:
                 break
             log_k = -C / stage_eps
-            u = dual_f / stage_eps
             v = dual_g / stage_eps
             for _ in range(_ANNEAL_STAGE_ITERATIONS):
-                u = log_a - _logsumexp(log_k + v[None, :], axis=1)
-                v = log_b - _logsumexp(log_k + u[:, None], axis=0)
-                iters += 1
-            dual_f = stage_eps * u
+                _, v = _scale(log_k, log_a, log_b, v)
+            iters += _ANNEAL_STAGE_ITERATIONS
             dual_g = stage_eps * v
-        u = dual_f / eps
         v = dual_g / eps
 
     log_k = -C / eps
-    gamma = np.exp(u[:, None] + log_k + v[None, :])
     converged = False
     while iters < max_iterations:
         iters += 1
-        u = log_a - _logsumexp(log_k + v[None, :], axis=1)
-        v = log_b - _logsumexp(log_k + u[:, None], axis=0)
+        u, v = _scale(log_k, log_a, log_b, v)
         gamma = np.exp(u[:, None] + log_k + v[None, :])
         row_err = np.max(np.abs(gamma.sum(axis=1) - a))
         col_err = np.max(np.abs(gamma.sum(axis=0) - b))
         if row_err <= tol and col_err <= tol:
             converged = True
             break
-    return gamma, u, v, iters, converged
-
-
-def _sinkhorn_linear(C, a, b, eps, max_iterations, tol):
-    K = np.exp(-C / eps)
-    u = np.ones_like(a)
-    v = np.ones_like(b)
-    gamma = None
-    converged = False
-    iters = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for iters in range(1, max_iterations + 1):
-            u = a / (K @ v)
-            v = b / (K.T @ u)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                raise NumericOverflowError(
-                    "non-finite Sinkhorn scaling (cost/epsilon ratio too large); retry with log_domain=True"
-                )
-            gamma = u[:, None] * K * v[None, :]
-            row_err = np.max(np.abs(gamma.sum(axis=1) - a))
-            col_err = np.max(np.abs(gamma.sum(axis=0) - b))
-            if row_err <= tol and col_err <= tol:
-                converged = True
-                break
-    return gamma, u, v, iters, converged
+    return gamma, iters, converged
 
 
 def ot_value_and_point_grads(

@@ -70,7 +70,6 @@ def barycentric_map(
         relative_epsilon=False,
         max_iterations=MAX_ITERATIONS,
         marginal_tolerance=MARGINAL_TOLERANCE,
-        log_domain=True,
     )
     plan = sinkhorn(cost, target_measure, source_measure, config)
     row_mass = plan.gamma.sum(axis=1)

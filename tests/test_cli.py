@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from otda.cli import run
+from otda.da_train import load_report
+from otda.eval_report import emit_tables
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +90,9 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
-    @pytest.mark.parametrize("flags", [["--alpha", "-inf"], ["--bogus"], ["--method", "sgd"]])
+    @pytest.mark.parametrize(
+        "flags", [["--alpha", "-inf"], ["--bogus"], ["--method", "sgd"], ["--log-domain", "true"]]
+    )
     def test_usage_error_is_json_config_error(self, data_dir, tmp_path, capsys, flags):
         code = run(small_train_args(data_dir, tmp_path / "x") + flags)
         err = capsys.readouterr().err
@@ -107,18 +111,13 @@ class TestExitCodes:
         assert "error" in payload and "message" in payload
 
     def test_numeric_failure_is_exit_two(self, data_dir, tmp_path, capsys):
-        code = run(small_train_args(data_dir, tmp_path / "n", epsilon="1e-9") + ["--log-domain", "false"])
+        code = run(small_train_args(data_dir, tmp_path / "n", epsilon="1e-12", batch_size=32))
         err = capsys.readouterr().err
         assert code == 2
         payload = json.loads(err.strip().splitlines()[-1])
-        assert payload["error"] in ("NumericOverflowError", "SinkhornConvergenceError")
+        assert payload["error"] == "SinkhornConvergenceError"
 
-    def test_bad_bool_flag_rejected(self, data_dir, tmp_path, capsys):
-        code = run(small_train_args(data_dir, tmp_path / "x") + ["--log-domain", "maybe"])
-        capsys.readouterr()
-        assert code == 1
-
-    @pytest.mark.parametrize("override", [{"alpha": "abc"}, {"epochs": 1.5}])
+    @pytest.mark.parametrize("override", [{"alpha": "abc"}, {"epochs": 1.5}, {"log_domain": True}])
     def test_config_file_value_checked_like_its_flag(self, data_dir, tmp_path, capsys, override):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(override))
@@ -186,6 +185,34 @@ class TestOtherCommands:
         out = tmp_path / "rep"
         assert run(["report", "--data", str(run_dir), "--out", str(out)]) == 0
         assert (out / "tables" / "method_comparison.csv").exists()
+
+    def test_report_keeps_one_plot_per_report(self, data_dir, tmp_path, capsys):
+        # train and a one-cell sweep both write report_ot_a0.05_s0.json
+        tree = tmp_path / "tree"
+        assert run(small_train_args(data_dir, tree / "train")) == 0
+        assert run(["sweep", "--data", str(data_dir), "--out", str(tree / "sweep"),
+                    "--alphas", "0.05", "--seeds", "1", "--epochs", "1"]) == 0
+        out = tmp_path / "rep"
+        capsys.readouterr()
+        assert run(["report", "--data", str(tree), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("emitted 3 files from 2 reports")
+        plots = sorted(p.name for p in (out / "plots").iterdir())
+        assert plots == ["curves_ot_a0.05_s0.svg", "curves_ot_a0.05_s0_2.svg"]
+        # sorted paths put sweep/ first; its plot is the one it gets on its own
+        alone = tmp_path / "alone"
+        emit_tables([load_report(tree / "sweep" / "report_ot_a0.05_s0.json")], alone)
+        assert (out / "plots" / plots[0]).read_bytes() == (alone / "plots" / plots[0]).read_bytes()
+        assert (out / "plots" / plots[1]).read_bytes() != (alone / "plots" / plots[0]).read_bytes()
+
+    def test_report_loads_reports_with_log_domain_key(self, data_dir, tmp_path):
+        run_dir = tmp_path / "r"
+        assert run(small_train_args(data_dir, run_dir)) == 0
+        path = run_dir / "report_ot_a0.05_s0.json"
+        payload = json.loads(path.read_text())
+        payload["config"]["sinkhorn"]["log_domain"] = True  # written before the switch was removed
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        assert load_report(path).config["sinkhorn"]["log_domain"] is True
+        assert run(["report", "--data", str(run_dir), "--out", str(tmp_path / "rep")]) == 0
 
     def test_report_without_reports_is_error(self, tmp_path):
         empty = tmp_path / "empty"
