@@ -423,8 +423,8 @@ _COMMANDS = {
 
 def _emit_error(exc: Exception) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("iterations_used", "row_residual", "col_residual"):
-        if hasattr(exc, attr):
+    for attr in ("iterations_used", "row_residual", "col_residual", "epoch", "step", "batch_shape"):
+        if getattr(exc, attr, None) is not None:
             payload[attr] = getattr(exc, attr)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 

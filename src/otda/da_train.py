@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_gen import DomainDataset
-from .errors import ConfigurationError, ContractViolationError, ParseError
+from .errors import ConfigurationError, ContractViolationError, ParseError, SinkhornConvergenceError
 from .eval_report import accuracy, mean_std, roc_auc, softmax_scores
 from .nn_core import (
     ModelParams,
@@ -255,9 +255,13 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
             idx = perm[start:start + config.batch_size]
             take = (cursor + np.arange(len(idx))) % n_val
             cursor = int((cursor + len(idx)) % n_val)
-            params, ce_loss, aux_loss = composite_loss_step(
-                params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
-            )
+            try:
+                params, ce_loss, aux_loss = composite_loss_step(
+                    params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
+                )
+            except SinkhornConvergenceError as exc:
+                exc.epoch, exc.step, exc.batch_shape = epoch, steps, (len(idx), len(take))
+                raise
             ce_sum += ce_loss
             aux_sum += aux_loss
             steps += 1

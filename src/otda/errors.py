@@ -44,10 +44,24 @@ class NumericError(OtdaError):
 
 
 class SinkhornConvergenceError(NumericError):
-    """Sinkhorn hit its iteration cap before meeting the marginal tolerance."""
+    """Sinkhorn hit its iteration cap before meeting the marginal tolerance.
+
+    A solve that fails in training also names where: the epoch, the step
+    within it and the batch shape (source rows, target rows); these stay
+    None elsewhere.
+    """
 
     def __init__(self, message: str, iterations_used: int, row_residual: float, col_residual: float):
         super().__init__(message)
         self.iterations_used = iterations_used
         self.row_residual = row_residual
         self.col_residual = col_residual
+        self.epoch = None
+        self.step = None
+        self.batch_shape = None
+
+    def __reduce__(self):
+        # Pool workers send the error back pickled; the default reduction
+        # would call __init__ with the message alone.
+        args = (str(self), self.iterations_used, self.row_residual, self.col_residual)
+        return type(self), args, self.__dict__

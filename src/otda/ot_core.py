@@ -3,10 +3,15 @@ a brute-force oracle for the unregularized problem, and the differentiable
 transport value used as a training loss.
 
 The solver minimizes  <G, C> - eps * H(G)  over couplings G with prescribed
-marginals, where H(G) = -sum G_ij log G_ij. The gradient of the optimal value
-with respect to the cost matrix is the optimal plan itself, which lets the
-point-cloud loss below return exact first-order gradients without unrolling
-solver iterations.
+marginals, where H(G) = -sum G_ij log G_ij. It scales the rows and columns
+of a Gibbs kernel with two mat-vecs per iteration and absorbs the scalings
+into dual potentials before they leave a safe range (stabilized scaling,
+Schmitzer 2019); it anneals eps from the cost scale in the sharp regime,
+and over-relaxes the scalings once their rate is known, falling back to
+plain steps when that stops paying (Thibault, Chizat, Dossal, Papadakis).
+The gradient of the optimal value with respect to the cost matrix is the
+optimal plan itself, which lets the point-cloud loss below return exact
+first-order gradients without unrolling solver iterations.
 """
 
 from __future__ import annotations
@@ -221,27 +226,22 @@ def exact_ot_bruteforce(cost: CostMatrix, source: DiscreteDistribution, target: 
     return plan, best_cost
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    out = safe + np.log(np.sum(np.exp(a - np.expand_dims(safe, axis)), axis=axis))
-    return np.where(np.isfinite(m), out, m)
-
-
 def _round_to_feasible(gamma, a, b):
-    """Project an almost-feasible plan onto the transport polytope: shrink
-    overfull rows and columns, then spread the leftover mass as a rank-one
-    correction. The result has exact marginals (to float addition), so its
-    cost can never undercut the unregularized optimum."""
+    """Project an almost-feasible plan onto the transport polytope, in place:
+    shrink overfull rows and columns, then spread the leftover mass as a
+    rank-one correction. The result has exact marginals (to float addition),
+    so its cost can never undercut the unregularized optimum."""
     rows = gamma.sum(axis=1)
-    gamma = gamma * np.minimum(1.0, a / np.where(rows > 0, rows, 1.0))[:, None]
+    gamma *= np.minimum(1.0, a / np.where(rows > 0, rows, 1.0))[:, None]
     cols = gamma.sum(axis=0)
-    gamma = gamma * np.minimum(1.0, b / np.where(cols > 0, cols, 1.0))[None, :]
+    gamma *= np.minimum(1.0, b / np.where(cols > 0, cols, 1.0))[None, :]
     missing_a = np.maximum(a - gamma.sum(axis=1), 0.0)
     missing_b = np.maximum(b - gamma.sum(axis=0), 0.0)
     total = missing_a.sum()
     if total > 0:
-        gamma = gamma + np.outer(missing_a, missing_b) / total
+        correction = np.outer(missing_a, missing_b)
+        correction /= total
+        gamma += correction
     return gamma
 
 
@@ -251,10 +251,20 @@ def sinkhorn(
     target: DiscreteDistribution,
     config: SinkhornConfig = SinkhornConfig(),
 ) -> TransportPlan:
-    """Alternating marginal scaling in the log domain, safe for any
-    cost/epsilon ratio, until both marginal residuals (max norm) drop below
-    the tolerance or the iteration cap is reached. A converged plan is
-    rounded onto the marginal polytope, so feasibility is exact.
+    """Alternating marginal scaling until both marginal residuals (max
+    norm) drop below the tolerance or the iteration cap is reached. A
+    converged plan is rounded onto the marginal polytope, so feasibility is
+    exact.
+
+    The scaling is stabilized: the kernel is built around dual potentials,
+    and a scaling about to leave [1e-50, 1e50] (or whose kernel product
+    underflowed) is absorbed into them, so any cost/epsilon ratio is safe.
+    When the mean cost exceeds 10 eps, eps is annealed from the cost scale
+    first. Solves longer than a 20-iteration probe are over-relaxed, with a
+    factor taken from the observed rate and a fallback to plain steps;
+    shorter solves take the plain iterates. iterations_used counts every
+    iteration, annealing included, and each plain iteration tried from a
+    relaxed iterate. Atoms of zero weight get zero rows and columns.
     """
     C = cost.entries
     if C.shape != (source.n, target.n):
@@ -264,7 +274,7 @@ def sinkhorn(
     a = source.weights
     b = target.weights
     eps = config.resolve_epsilon(C)
-    gamma, iters, converged = _sinkhorn_log(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
+    gamma, iters, converged = _sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
     if converged:
         gamma = _round_to_feasible(gamma, a, b)
     value_cost = float(np.sum(gamma * C))
@@ -278,62 +288,174 @@ def sinkhorn(
     )
 
 
+# Stabilized scaling (Schmitzer 2019). The plan is diag(u) K diag(v), with
+# the Gibbs kernel K = exp((f ⊕ g - C) / eps) built around potentials f, g
+# in cost units. A scaling that would leave [1 / _ABSORB_AT, _ABSORB_AT] is
+# absorbed into its potential and K is rebuilt, so the mat-vecs stay finite
+# however sharp eps is.
+_ABSORB_AT = 1e50
+# Annealing: when the mean cost exceeds 10 eps, stages from a third of the
+# mean cost down by this ratio, of at most this many iterations each.
 _ANNEAL_RATIO = 3.0
 _ANNEAL_STAGE_ITERATIONS = 30
+# Safeguarded over-relaxation (Thibault, Chizat, Dossal, Papadakis): plain
+# iterations over a probe window, then omega = 2 / (1 + sqrt(1 - rho)) from
+# the residual's contraction rate rho per iteration, capped below 2, in
+# relaxed windows of at least _SETTLE / (2 - omega) iterations; see
+# _next_omega.
+_PROBE_WINDOW = 20
+_OMEGA_CAP = 1.999
+_SETTLE = 3.0
 
 
-def _scale(log_k, log_a, log_b, v):
-    """One Sinkhorn iteration: the row half-step, then the column half-step."""
-    u = log_a - _logsumexp(log_k + v[None, :], axis=1)
-    v = log_b - _logsumexp(log_k + u[:, None], axis=0)
-    return u, v
+def _peaked_kernel(C, q, eps, out=None):
+    """The Gibbs kernel around q and its c-transform p = min_j (C_ij - q_j):
+    exp((p ⊕ q - C) / eps), built in one n x m buffer, whose rows peak at
+    exactly 1. Returns (K, p)."""
+    K = np.subtract(q, C, out=out)
+    p = -K.max(axis=1)
+    K += p[:, None]
+    K /= eps
+    return np.exp(K, out=K), p
 
 
-def _sinkhorn_log(C, a, b, eps, max_iterations, tol):
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
+def _half_step(M, C, p, q, x, y, w, eps, omega, product):
+    """Scale one side of the plan: x = w / (M y), relaxed by omega
+    (log x = (1 - omega) log x + omega log(w / (M y))), where M is K for the
+    rows or K^T for the columns, p and x are this side's potential and
+    scaling, q and y the other side's, and product is M @ y.
 
-    # Warm start by annealing the regularization geometrically from the mean
-    # cost down to the target, carrying the column potential (in cost units)
-    # between stages; each stage's first half-step rebuilds the row
-    # potential from it. In the sharp regime (eps far below the cost scale)
-    # this cuts the iteration count by orders of magnitude; the answer is the
-    # same fixed point. At most half the iteration budget goes to warm-up, so
-    # the main loop always runs.
-    v = np.zeros_like(b)
+    If x would leave the safe range (or M y underflowed), y is absorbed into
+    q, M is rebuilt in place around q and its c-transform, which becomes p,
+    and the step is taken plainly there, where M @ 1 >= 1.
+    Returns (x, y, product).
+    """
+    new = w / product
+    if omega != 1.0:
+        new = x ** (1.0 - omega) * new ** omega
+    if new.max() <= _ABSORB_AT and (omega == 1.0 or new.min() >= 1.0 / _ABSORB_AT):
+        return new, y, product
+    q += eps * np.log(y)
+    p[:] = _peaked_kernel(C, q, eps, out=M)[1]
+    product = M.sum(axis=1)
+    return w / product, np.ones_like(y), product
+
+
+def _next_omega(residuals, omega, mark, best):
+    """Safeguarded over-relaxation. Returns (omega, mark, best): the factor
+    for the next iteration, the iteration count at which its window started,
+    and the residual that a relaxed window has to beat.
+
+    After a plain probe window, omega comes from the contraction rate rho of
+    the window's second half. A relaxed iterate's residual is about
+    1 / (2 - omega) times that of the plain iterate it stands for, and
+    settles at rate omega - 1: so a relaxed window lasts at least
+    _SETTLE / (2 - omega) iterations, the first one is not judged, and each
+    later one either refines rho from its own rate or, if it left the
+    residual no lower, falls back to a plain probe.
+    """
+    k = len(residuals)
+    if omega == 1.0:
+        if k - mark < _PROBE_WINDOW:
+            return omega, mark, best
+        half = _PROBE_WINDOW // 2
+        rho = (residuals[-1] / residuals[-1 - half]) ** (1.0 / half)
+        return (_optimal_omega(rho), k, np.inf) if rho < 1.0 else (omega, k, best)
+    if k - mark < max(_PROBE_WINDOW, _SETTLE / (2.0 - omega)):
+        return omega, mark, best
+    if residuals[-1] >= best:
+        return 1.0, k, np.inf
+    if np.isfinite(best):
+        # Young's relation between the relaxed rate lam and rho:
+        # (lam + omega - 1)^2 = lam omega^2 rho.
+        lam = (residuals[-1] / best) ** (1.0 / (k - mark))
+        omega = _optimal_omega((lam + omega - 1.0) ** 2 / (lam * omega ** 2))
+    return omega, k, residuals[-1]
+
+
+def _optimal_omega(rho):
+    return min(2.0 / (1.0 + np.sqrt(max(1.0 - rho, 0.0))), _OMEGA_CAP)
+
+
+def _scaling_stage(C, a, b, eps, g, budget, tol):
+    """Up to `budget` iterations at one eps, warm-started from the column
+    potential g. Returns (gamma, column potential, iterations, converged).
+
+    Each iteration scales the rows, then the columns, and reads both
+    marginal residuals of diag(u) K diag(v) from the products it holds:
+    u * (K v) - a, with the K v that the next row step divides by, and
+    v * (K^T u) - b.
+    """
+    g = g.copy()
+    K, f = _peaked_kernel(C, g, eps)
+    u, v = np.ones_like(a), np.ones_like(b)
+    Kv = K.sum(axis=1)
+    residuals, omega, mark, best = [], 1.0, 0, np.inf
+    checks, check_at = 0, tol
+    converged = False
+    # A product that underflows, or a power that overflows, makes an
+    # infinite scaling, which _half_step absorbs.
+    with np.errstate(divide="ignore", over="ignore"):
+        while len(residuals) + checks < budget:
+            u, v, Kv = _half_step(K, C, f, g, u, v, a, eps, omega, Kv)
+            v, u, KTu = _half_step(K.T, C.T, g, f, v, u, b, eps, omega, K.T @ u)
+            Kv = K @ v
+            residual = np.abs(u * Kv - a).max()
+            if omega != 1.0 or residual <= tol:
+                # after a plain column step the column sums are b up to rounding
+                residual = max(residual, np.abs(v * KTu - b).max())
+            residuals.append(residual)
+            if residual <= tol:
+                converged = True
+                break
+            if omega != 1.0 and (2.0 - omega) * residual <= check_at:
+                # A relaxed iterate stands for a plain one about
+                # 1 / (2 - omega) times closer to the marginals: try the plain
+                # iteration from it, at most once per halving of the residual.
+                checks += 1
+                check_at = (2.0 - omega) * residual / 2.0
+                u_plain = a / Kv
+                v_plain = b / (K.T @ u_plain)
+                if np.abs(u_plain * (K @ v_plain) - a).max() <= tol:
+                    u, v, converged = u_plain, v_plain, True
+                    break
+            omega, mark, best = _next_omega(residuals, omega, mark, best)
+    g += eps * np.log(v)
+    K *= u[:, None]
+    K *= v
+    return K, g, len(residuals) + checks, converged
+
+
+def _sinkhorn_stabilized(C, a, b, eps, max_iterations, tol):
+    """The solver behind `sinkhorn`: returns (gamma, iterations, converged)."""
+    rows, cols = a > 0, b > 0
+    if not (rows.all() and cols.all()):
+        # Zero-weight atoms keep zero scalings: solve on the support and
+        # leave their rows and columns of gamma empty.
+        gamma = np.zeros(C.shape)
+        block = np.ix_(rows, cols)
+        gamma[block], iters, converged = _sinkhorn_stabilized(C[block], a[rows], b[cols], eps, max_iterations, tol)
+        return gamma, iters, converged
+
+    # Warm start by annealing eps geometrically from the mean cost down to
+    # the target, carrying the column potential between stages. In the sharp
+    # regime (eps far below the cost scale) this cuts the iteration count by
+    # orders of magnitude; the answer is the same fixed point. At most half
+    # the iteration budget goes to warm-up, so the last stage always runs.
+    g = np.zeros_like(b)
     iters = 0
     mean_cost = float(np.mean(C))
-    if mean_cost > 10.0 * eps:
-        stages = []
-        stage = mean_cost / _ANNEAL_RATIO
-        while stage > _ANNEAL_RATIO * eps:
-            stages.append(stage)
-            stage /= _ANNEAL_RATIO
-        dual_g = np.zeros_like(b)
-        for stage_eps in stages:
-            if iters + _ANNEAL_STAGE_ITERATIONS > max_iterations // 2:
-                break
-            log_k = -C / stage_eps
-            v = dual_g / stage_eps
-            for _ in range(_ANNEAL_STAGE_ITERATIONS):
-                _, v = _scale(log_k, log_a, log_b, v)
-            iters += _ANNEAL_STAGE_ITERATIONS
-            dual_g = stage_eps * v
-        v = dual_g / eps
-
-    log_k = -C / eps
-    converged = False
-    while iters < max_iterations:
-        iters += 1
-        u, v = _scale(log_k, log_a, log_b, v)
-        gamma = np.exp(u[:, None] + log_k + v[None, :])
-        row_err = np.max(np.abs(gamma.sum(axis=1) - a))
-        col_err = np.max(np.abs(gamma.sum(axis=0) - b))
-        if row_err <= tol and col_err <= tol:
-            converged = True
-            break
-    return gamma, iters, converged
+    stage_eps = mean_cost / _ANNEAL_RATIO
+    while (
+        mean_cost > 10.0 * eps
+        and stage_eps > _ANNEAL_RATIO * eps
+        and iters + _ANNEAL_STAGE_ITERATIONS <= max_iterations // 2
+    ):
+        _, g, used, _ = _scaling_stage(C, a, b, stage_eps, g, _ANNEAL_STAGE_ITERATIONS, tol)
+        iters += used
+        stage_eps /= _ANNEAL_RATIO
+    gamma, _, used, converged = _scaling_stage(C, a, b, eps, g, max_iterations - iters, tol)
+    return gamma, iters + used, converged
 
 
 def ot_value_and_point_grads(

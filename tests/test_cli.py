@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from otda import da_train
 from otda.cli import run
 from otda.da_train import load_report
 from otda.eval_report import emit_tables
+from otda.ot_core import SinkhornConfig
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,15 @@ def small_train_args(data_dir, out, **extra):
     for key, value in extra.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
     return args
+
+
+def cap_training_solver_at_one_iteration(monkeypatch):
+    """No flag leads training into a solve that fails (even --epsilon 1e-12
+    converges), so the tests that need one shrink the solver's budget in the
+    training defaults that the CLI starts from."""
+    monkeypatch.setattr(
+        da_train, "SinkhornConfig", lambda **kw: SinkhornConfig(**{**kw, "max_iterations": 1})
+    )
 
 
 class TestGenData:
@@ -110,12 +121,30 @@ class TestExitCodes:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload and "message" in payload
 
-    def test_numeric_failure_is_exit_two(self, data_dir, tmp_path, capsys):
+    def test_numeric_failure_is_exit_two(self, data_dir, tmp_path, capsys, monkeypatch):
+        cap_training_solver_at_one_iteration(monkeypatch)
         code = run(small_train_args(data_dir, tmp_path / "n", epsilon="1e-12", batch_size=32))
         err = capsys.readouterr().err
         assert code == 2
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "SinkhornConvergenceError"
+        assert payload["iterations_used"] == 1
+        assert payload["row_residual"] > 0
+        assert (payload["epoch"], payload["step"], payload["batch_shape"]) == (0, 0, [32, 32])
+
+    def test_worker_failure_is_exit_two(self, data_dir, tmp_path, capsys, monkeypatch):
+        # the error crosses the process pool with its fields
+        cap_training_solver_at_one_iteration(monkeypatch)
+        monkeypatch.setenv("OTDA_THREADS", "2")
+        code = run(["sweep", "--alphas", "0.1,1", "--seeds", "1", "--epochs", "1",
+                    "--data", str(data_dir), "--out", str(tmp_path / "s")])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2
+        assert payload["error"] == "SinkhornConvergenceError"
+        assert (payload["epoch"], payload["step"], payload["batch_shape"]) == (0, 0, [128, 128])
+
+    def test_tiny_epsilon_trains(self, data_dir, tmp_path):
+        assert run(small_train_args(data_dir, tmp_path / "t", epsilon="1e-12", batch_size=32)) == 0
 
     @pytest.mark.parametrize("override", [{"alpha": "abc"}, {"epochs": 1.5}, {"log_domain": True}])
     def test_config_file_value_checked_like_its_flag(self, data_dir, tmp_path, capsys, override):
@@ -148,6 +177,16 @@ class TestExitCodes:
         assert code == 1
         assert payload["error"] == "ConfigurationError"
         assert "OTDA_THREADS" in payload["message"]
+
+
+class TestSlowTail:
+    def test_seed_227_trains_on_the_gen_data_defaults(self, tmp_path):
+        # Every epoch ends with an 8-row batch (1 800 training rows, batches
+        # of 128); at seed 227 one of its 8x8 solves stalled above the
+        # tolerance until the iteration cap.
+        data = tmp_path / "data"
+        assert run(["gen-data", "--out", str(data)]) == 0
+        assert run(["train", "--seed", "227", "--data", str(data), "--out", str(tmp_path / "run")]) == 0
 
 
 class TestOtherCommands:

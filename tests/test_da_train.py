@@ -2,6 +2,7 @@
 composite-loss gradcheck, determinism, leakage, early stopping, and sweeps."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from otda.da_train import (
     train,
     train_with_model,
 )
-from otda.errors import ConfigurationError, ContractViolationError, ParseError
+from otda.errors import ConfigurationError, ContractViolationError, ParseError, SinkhornConvergenceError
 from otda.nn_core import _head_backward, _head_forward, backward, cross_entropy, forward_classifier, forward_features, init_model
 from otda.ot_core import SinkhornConfig
 
@@ -244,6 +245,27 @@ class TestTrain:
         assert params_equal(erm.classifier, ot.classifier)
         assert params_equal(erm.featurizer, dann.featurizer)
         assert params_equal(erm.classifier, dann.classifier)
+
+
+class TestSolverFailures:
+    def test_seed_227_completes(self, benchmark_dataset):
+        # the ragged 8x8 last batch whose solve once stalled until the cap
+        report, _ = train_with_model(benchmark_dataset, TrainConfig(method="ot", seed=227))
+        assert len(report.epochs) == 5
+
+    def test_failure_names_epoch_step_and_batch_shape(self, tiny_ds):
+        config = small_config(method="ot", sinkhorn=SinkhornConfig(epsilon=0.1, max_iterations=1))
+        with pytest.raises(SinkhornConvergenceError) as info:
+            train_with_model(tiny_ds, config)
+        assert (info.value.epoch, info.value.step, info.value.batch_shape) == (0, 0, (128, 128))
+
+    def test_error_survives_pickling(self):
+        error = SinkhornConvergenceError("stalled", 20000, 1.4e-6, 6e-17)
+        error.epoch, error.step, error.batch_shape = 3, 14, (8, 8)
+        copy = pickle.loads(pickle.dumps(error))
+        assert str(copy) == "stalled"
+        assert (copy.iterations_used, copy.row_residual, copy.col_residual) == (20000, 1.4e-6, 6e-17)
+        assert (copy.epoch, copy.step, copy.batch_shape) == (3, 14, (8, 8))
 
 
 class TestAlphaSweep:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from helpers import central_diff, rel_err
 from otda import ot_core
@@ -38,6 +39,26 @@ def uniform_pair(rng, n, d=8, m=None):
 
 def tight_config(epsilon, tol=1e-9, cap=200000):
     return SinkhornConfig(epsilon=epsilon, relative_epsilon=False, max_iterations=cap, marginal_tolerance=tol)
+
+
+def log_domain_reference(C, a, b, eps, tol=1e-9, cap=200000):
+    """Textbook Sinkhorn on the dual potentials, with exact log-domain
+    half-steps and the solver's stopping rule and rounding. It never
+    overflows, but at sharp eps it needs hundreds of thousands of
+    iterations."""
+    f, g = np.zeros_like(a), np.zeros_like(b)
+    for _ in range(cap):
+        f = eps * (np.log(a) - logsumexp((g[None, :] - C) / eps, axis=1))
+        g = eps * (np.log(b) - logsumexp((f[:, None] - C) / eps, axis=0))
+        gamma = np.exp((f[:, None] + g[None, :] - C) / eps)
+        if max(np.abs(gamma.sum(axis=1) - a).max(), np.abs(gamma.sum(axis=0) - b).max()) <= tol:
+            break
+    return ot_core._round_to_feasible(gamma, a, b)
+
+
+def assert_matches_reference(plan, cost, reference):
+    assert np.abs(plan.gamma - reference).max() <= 1e-8
+    assert plan.value_cost == pytest.approx(float(np.sum(reference * cost.entries)), abs=1e-9)
 
 
 _coordinate = st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -234,12 +255,92 @@ class TestSinkhorn:
         rng = np.random.default_rng(9)
         src, tgt = uniform_pair(rng, 5)
         cost = cost_matrix(src, tgt)
-        values = [
-            sinkhorn(cost, src, tgt, tight_config(float(eps), tol=1e-9, cap=300000)).value_cost
+        plans = [
+            sinkhorn(cost, src, tgt, tight_config(float(eps), tol=1e-9, cap=300000))
             for eps in np.geomspace(1e-3, 1.0, 10)
         ]
+        assert all(plan.converged for plan in plans)
+        values = [plan.value_cost for plan in plans]
         # feasibility rounding perturbs each value by O(n * tol * max cost)
         assert np.all(np.diff(values) >= -1e-7)
+
+    def test_near_degenerate_tail_is_short(self):
+        # At the shipped epsilon plain scaling shrinks this instance's
+        # residual by a factor of only about 1 - 1e-5 per iteration and stops
+        # unconverged after 200 000 iterations (row residual 8.5e-7);
+        # over-relaxation converges in a few thousand.
+        src = DiscreteDistribution.uniform(np.array([[0.0], [1.0]]))
+        tgt = DiscreteDistribution.uniform(np.array([[0.0], [0.0], [2.0], [0.5]]))
+        cost = cost_matrix(src, tgt)
+        plan = sinkhorn(cost, src, tgt, SinkhornConfig(marginal_tolerance=1e-7, max_iterations=200000))
+        assert plan.converged
+        assert plan.iterations_used <= 10000
+        row, col = marginal_residual(plan, src, tgt)
+        assert row <= 1e-7 and col <= 1e-7
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sharp_epsilon_is_the_optimal_permutation(self, seed):
+        # At eps = 1e-3 on 8-d normals exp(-C / eps) underflows, and the
+        # log-domain reference needs over 200 000 iterations. The entropic
+        # plan is the optimal permutation up to mass of order exp(-gap / eps),
+        # so the brute-force oracle serves as the reference.
+        rng = np.random.default_rng(seed)
+        src, tgt = uniform_pair(rng, 5)
+        cost = cost_matrix(src, tgt)
+        reference, _ = exact_ot_bruteforce(cost, src, tgt)
+        plan = sinkhorn(cost, src, tgt, tight_config(1e-3))
+        assert plan.converged
+        assert_matches_reference(plan, cost, reference.gamma)
+
+    @pytest.mark.parametrize("distance", [60.0, 1000.0])
+    def test_far_target_column_is_absorbed(self, monkeypatch, distance):
+        # One target far from every source. Against the c-transform start its
+        # kernel column peaks near exp(-141) at distance 60 and underflows to
+        # 0 at distance 1000 (exp(-1282)), so its first scaling leaves the
+        # safe range: the solver absorbs it into the potentials and rebuilds
+        # the kernel.
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((16, 8))
+        Y = rng.standard_normal((256, 8))
+        Y[0, 0] += distance
+        src, tgt = DiscreteDistribution.uniform(X), DiscreteDistribution.uniform(Y)
+        cost = cost_matrix(src, tgt)
+        epsilon = 0.1 * float(cost.entries.mean())  # no annealing
+        builds = []
+        build = ot_core._peaked_kernel
+        monkeypatch.setattr(ot_core, "_peaked_kernel", lambda *args, **kw: builds.append(1) or build(*args, **kw))
+        plan = sinkhorn(cost, src, tgt, tight_config(epsilon))
+        assert plan.converged
+        assert len(builds) > 1
+        assert_matches_reference(plan, cost, log_domain_reference(cost.entries, src.weights, tgt.weights, epsilon))
+
+    def test_zero_weight_atoms_get_empty_rows_and_columns(self):
+        rng = np.random.default_rng(17)
+        a = np.array([0.3, 0.0, 0.5, 0.2, 0.0])
+        b = np.array([0.0, 0.25, 0.25, 0.5])
+        src = DiscreteDistribution(rng.standard_normal((5, 3)), a)
+        tgt = DiscreteDistribution(rng.standard_normal((4, 3)), b)
+        cost = cost_matrix(src, tgt)
+        plan = sinkhorn(cost, src, tgt, tight_config(0.05))
+        assert plan.converged
+        assert np.all(np.isfinite(plan.gamma))
+        assert not plan.gamma[a == 0].any() and not plan.gamma[:, b == 0].any()
+        row, col = marginal_residual(plan, src, tgt)
+        assert row <= 1e-16 and col <= 1e-16
+
+    def test_rectangular_nonuniform_posthoc_sized(self):
+        # the shape of a post-hoc alignment solve (600 target rows against
+        # 1 800 source rows of 32-d features), with annealing at eps = 0.5
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((600, 32))
+        Y = rng.standard_normal((1800, 32)) + 0.3
+        a = rng.random(600) + 0.1
+        b = rng.random(1800) + 0.1
+        src, tgt = DiscreteDistribution(X, a / a.sum()), DiscreteDistribution(Y, b / b.sum())
+        cost = cost_matrix(src, tgt)
+        plan = sinkhorn(cost, src, tgt, tight_config(0.5))
+        assert plan.converged
+        assert_matches_reference(plan, cost, log_domain_reference(cost.entries, src.weights, tgt.weights, 0.5))
 
     @_sinkhorn_settings
     @given(point_cloud_pairs(), _fractions)
