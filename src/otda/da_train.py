@@ -11,7 +11,9 @@ determines the trajectory, and every method consumes the streams identically
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import glob
 import json
 import math
@@ -218,6 +220,54 @@ def dann_step(params: ModelParams, source_batch: tuple, target_batch: np.ndarray
     return composite_loss_step(params, source_batch, target_batch, replace(config, method="dann"))
 
 
+# Symbol spellings of OpenBLAS's thread controls, most specific first: the
+# numpy wheels ship a renamed 64-bit-integer build (scipy_openblas64_).
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}",
+)
+# (argtypes, restype) of each control: the getter returns a C int and the
+# setter takes one, also in the 64-bit-integer build.
+_OPENBLAS_SIGNATURES = {"get_num_threads": ([], ctypes.c_int), "set_num_threads": ([ctypes.c_int], None)}
+
+
+@functools.cache
+def _openblas_function(name: str):
+    """OpenBLAS's `name` ("set_num_threads" or "get_num_threads") from the
+    library numpy loaded, or None when numpy uses another BLAS."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        try:
+            # RTLD_NOLOAD finds a library already mapped and never loads one.
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            function = getattr(lib, symbol.format(name), None)
+            if function is not None:
+                function.argtypes, function.restype = _OPENBLAS_SIGNATURES[name]
+                return function
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread and give the caller back its
+    thread count on exit, also when the block raises. At otda's matrix sizes
+    a second BLAS thread only spins: it doubles CPU time and gains no wall
+    time. Does nothing when numpy uses another BLAS."""
+    get_threads = _openblas_function("get_num_threads")
+    set_threads = _openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+@_one_blas_thread()
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     """Run the configured method and return (report, params at the selected
     epoch). Epoch selection maximizes validation accuracy (first maximum)
@@ -299,29 +349,6 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
 
 def train(dataset: DomainDataset, config: TrainConfig) -> RunReport:
     return train_with_model(dataset, config)[0]
-
-
-# Symbol spellings of OpenBLAS's thread controls, most specific first: the
-# numpy wheels ship a renamed 64-bit-integer build (scipy_openblas64_).
-_OPENBLAS_SYMBOLS = (
-    "scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}",
-)
-
-
-def _openblas_function(name: str):
-    """OpenBLAS's `name` ("set_num_threads" or "get_num_threads") from the
-    library numpy loaded, or None when numpy uses another BLAS."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        try:
-            # RTLD_NOLOAD finds a library already mapped and never loads one.
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for symbol in _OPENBLAS_SYMBOLS:
-            function = getattr(lib, symbol.format(name), None)
-            if function is not None:
-                return function
-    return None
 
 
 _worker_dataset = None

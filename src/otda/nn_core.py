@@ -4,6 +4,8 @@ cross-entropy, hand-written backpropagation, and SGD with momentum.
 
 Everything is plain float64 numpy. Forward passes retain what the backward
 pass needs; gradients are exact (finite-difference checked in the tests).
+Normalization repeats the steps of np.mean and np.var, so it matches them
+bit for bit while making fewer passes over each block.
 """
 
 from __future__ import annotations
@@ -155,11 +157,18 @@ def init_model(
 
 
 def _normalize_rows(z: np.ndarray):
-    mean = z.mean(axis=1, keepdims=True)
-    var = z.var(axis=1, keepdims=True)
+    # np.mean and np.var step by step: sum, divide by the count, and square
+    # the centered rows, which divided by the scale are also the output.
+    k = z.shape[1]
+    mean = np.add.reduce(z, axis=1, keepdims=True)
+    mean /= k
+    centered = z - mean
+    var = np.add.reduce(np.square(centered), axis=1, keepdims=True)
+    var /= k
     floored = var <= VARIANCE_FLOOR
     scale = np.sqrt(np.where(floored, VARIANCE_FLOOR, var))
-    return (z - mean) / scale, scale, floored
+    centered /= scale
+    return centered, scale, floored
 
 
 def forward_features(params: ModelParams, inputs: np.ndarray) -> tuple:
@@ -175,7 +184,8 @@ def forward_features(params: ModelParams, inputs: np.ndarray) -> tuple:
     trace = ForwardTrace(inputs=[], normalized=[], scales=[], floored=[], features=None)
     for layer in params.featurizer:
         trace.inputs.append(x)
-        z = x @ layer.weight + layer.bias
+        z = x @ layer.weight
+        z += layer.bias
         y, scale, floored = _normalize_rows(z)
         trace.normalized.append(y)
         trace.scales.append(scale)
@@ -272,9 +282,13 @@ def _norm_backward(dy, y, scale, floored):
     # y = (z - mean z) / s. For rows above the floor s depends on z; for
     # floored rows s is the constant sqrt(floor).
     centered = dy - dy.mean(axis=1, keepdims=True)
-    full = (centered - y * (dy * y).mean(axis=1, keepdims=True)) / scale
-    flat = centered / scale
-    return np.where(floored, flat, full)
+    dz = y * (dy * y).mean(axis=1, keepdims=True)
+    np.subtract(centered, dz, out=dz)
+    dz /= scale
+    if floored.any():
+        rows = floored[:, 0]
+        dz[rows] = centered[rows] / scale[rows]
+    return dz
 
 
 def backward(
@@ -315,7 +329,8 @@ def backward(
         dy = grad * (trace.normalized[i] > 0)
         dz = _norm_backward(dy, trace.normalized[i], trace.scales[i], trace.floored[i])
         featurizer_grads[i] = (trace.inputs[i].T @ dz, dz.sum(axis=0))
-        grad = dz @ params.featurizer[i].weight.T
+        if i > 0:  # nothing reads the gradient of the network's inputs
+            grad = dz @ params.featurizer[i].weight.T
     return ModelGrads(featurizer=featurizer_grads, classifier=classifier_grads)
 
 

@@ -168,6 +168,11 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
 def entropy(plan) -> float:
     """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0."""
     gamma = np.asarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float)
+    if gamma.size and gamma.min() > 0:
+        # Every entry counts, in the masked path's order, with no scan for
+        # negatives and no masked copy.
+        flat = gamma.reshape(-1)
+        return float(-np.sum(flat * np.log(flat)))
     if np.any(gamma < 0):
         raise ContractViolationError("plan entries must be nonnegative")
     positive = gamma[gamma > 0]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .da_train import _one_blas_thread
 from .data_gen import DomainDataset
 from .errors import ContractViolationError, NumericError
 from .eval_report import accuracy
@@ -79,6 +80,7 @@ def barycentric_map(
     return aligned, plan
 
 
+@_one_blas_thread()
 def evaluate_posthoc(
     dataset: DomainDataset,
     erm_params: ModelParams,

@@ -6,11 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from otda import da_train
+from helpers import cap_training_solver_at_one_iteration
 from otda.cli import run
 from otda.da_train import load_report
 from otda.eval_report import emit_tables
-from otda.ot_core import SinkhornConfig
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +28,6 @@ def small_train_args(data_dir, out, **extra):
     for key, value in extra.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
     return args
-
-
-def cap_training_solver_at_one_iteration(monkeypatch):
-    """No flag leads training into a solve that fails (even --epsilon 1e-12
-    converges), so the tests that need one shrink the solver's budget in the
-    training defaults that the CLI starts from."""
-    monkeypatch.setattr(
-        da_train, "SinkhornConfig", lambda **kw: SinkhornConfig(**{**kw, "max_iterations": 1})
-    )
 
 
 class TestGenData:

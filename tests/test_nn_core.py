@@ -12,8 +12,11 @@ from hypothesis.extra.numpy import arrays
 from helpers import central_diff, grads_arrays, model_arrays, params_equal, rel_err
 from otda.errors import ContractViolationError, ParseError
 from otda.nn_core import (
+    VARIANCE_FLOOR,
     ModelGrads,
     OptimizerConfig,
+    _norm_backward,
+    _normalize_rows,
     backward,
     cross_entropy,
     forward_classifier,
@@ -68,6 +71,70 @@ class TestForwardFeatures:
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolationError):
             forward_features(tiny_model(), np.zeros((2, 5)))
+
+
+def textbook_normalize_rows(z):
+    mean = z.mean(axis=1, keepdims=True)
+    var = z.var(axis=1, keepdims=True)
+    floored = var <= VARIANCE_FLOOR
+    scale = np.sqrt(np.where(floored, VARIANCE_FLOOR, var))
+    return (z - mean) / scale, scale, floored
+
+
+def textbook_norm_backward(dy, y, scale, floored):
+    centered = dy - dy.mean(axis=1, keepdims=True)
+    full = (centered - y * (dy * y).mean(axis=1, keepdims=True)) / scale
+    flat = centered / scale
+    return np.where(floored, flat, full)
+
+
+@st.composite
+def pre_normalization_blocks(draw):
+    """(n, k) blocks of pre-activations at mixed magnitudes, with some rows
+    constant or at or below the variance floor."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-4, 3, size=(n, 1)) + rng.standard_normal((n, 1))
+    special = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(["constant", "floor", "below"])), max_size=n))
+    for row, kind in special:
+        if kind == "constant":
+            z[row] = rng.standard_normal()
+        else:
+            noise = rng.standard_normal(k)
+            noise = (noise - noise.mean()) / max(noise.std(), 1e-300)
+            share = 1.0 if kind == "floor" else rng.uniform(0.0, 1.0)
+            z[row] = rng.standard_normal() + np.sqrt(share * VARIANCE_FLOOR) * noise
+    dy = rng.standard_normal((n, k))
+    return z, dy
+
+
+class TestNormalizationKernels:
+    """The normalization passes repeat the textbook numpy forms bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=pre_normalization_blocks())
+    def test_forward_and_backward_match_textbook_bytes(self, block):
+        z, dy = block
+        expected = textbook_normalize_rows(z)
+        got = _normalize_rows(z.copy())
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape and g.dtype == e.dtype
+            assert g.tobytes() == e.tobytes()
+        y, scale, floored = expected
+        dy = dy * (y > 0)
+        assert _norm_backward(dy, y, scale, floored).tobytes() == textbook_norm_backward(dy, y, scale, floored).tobytes()
+
+    def test_floored_rows_match_textbook_bytes(self):
+        rng = np.random.default_rng(18)
+        z = rng.standard_normal((6, 9))
+        z[1] = 2.5
+        z[4] = -1.0 + np.sqrt(0.5 * VARIANCE_FLOOR) * np.tile([1.0, -1.0, 0.0], 3) * np.sqrt(1.5)
+        y, scale, floored = _normalize_rows(z.copy())
+        assert floored[:, 0].tolist() == [False, True, False, False, True, False]
+        assert y.tobytes() == textbook_normalize_rows(z)[0].tobytes()
+        dy = rng.standard_normal((6, 9))
+        assert _norm_backward(dy, y, scale, floored).tobytes() == textbook_norm_backward(dy, y, scale, floored).tobytes()
 
 
 class TestForwardClassifier:

@@ -152,6 +152,24 @@ class TestEntropy:
         with pytest.raises(ContractViolationError):
             entropy(np.array([[-0.1, 1.1]]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.0, 0.1, 0.9]),
+        transposed=st.booleans(),
+    )
+    def test_matches_masked_sum_bytes(self, shape, seed, zero_share, transposed):
+        # positive plans skip the mask; they must still sum in its order
+        rng = np.random.default_rng(seed)
+        gamma = rng.random(shape) * 10.0 ** rng.uniform(-12, 0)
+        gamma[rng.random(shape) < zero_share] = 0.0
+        if transposed:
+            gamma = gamma.T
+        positive = gamma[gamma > 0]
+        expected = float(-np.sum(positive * np.log(positive)))
+        assert np.float64(entropy(gamma)).tobytes() == np.float64(expected).tobytes()
+
 
 class TestBruteForce:
     def test_zero_diagonal_identity_matching(self):
