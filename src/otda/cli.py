@@ -22,6 +22,7 @@ from . import data_gen, eval_report, posthoc_align
 from .da_train import (
     RunReport,
     TrainConfig,
+    _one_blas_thread,
     alpha_sweep,
     load_report,
     run_seeds,
@@ -429,6 +430,9 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+# The whole command, emission and reports included, runs on one BLAS thread,
+# as training does; the caller's count comes back on every exit.
+@_one_blas_thread()
 def run(argv) -> int:
     parser = build_parser()
     try:

@@ -19,10 +19,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .nn_core import (
     sgd_step,
 )
 from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig, ot_value_and_point_grads
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 METHODS = ("erm", "ot", "dann")
 
@@ -368,7 +371,10 @@ def _start_worker(dataset: DomainDataset) -> None:
 
 def _worker_pool(dataset: DomainDataset, workers: int) -> ProcessPoolExecutor:
     # Forked workers inherit the dataset through initargs, so a task pickles
-    # only its config.
+    # only its config. The pool machinery loads here, so runs that stay in
+    # this process never import it.
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(dataset,))
 
 
@@ -394,6 +400,10 @@ def _train_cells(dataset: DomainDataset, configs: list, keep_params: bool = Fals
     workers = _worker_count(len(configs))
     if workers <= 1:
         return [_sweep_cell(config, keep_params, dataset) for config in configs]
+    if any(config.method == "ot" and config.alpha > 0 for config in configs):
+        # Load cost_matrix's scipy before the fork: every worker of every
+        # pool inherits it instead of importing it again.
+        import scipy.spatial.distance  # noqa: F401
     with _worker_pool(dataset, workers) as pool:
         return list(pool.map(_sweep_cell, configs, repeat(keep_params)))
 

@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigurationError,
@@ -158,6 +157,10 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
         raise ContractViolationError(
             f"dimension mismatch: source has d={source.dim}, target has d={target.dim}"
         )
+    # scipy loads here, not at import: erm, dann, gen-data and report never
+    # build a cost matrix.
+    from scipy.spatial.distance import cdist
+
     scipy_metric = "euclidean" if metric == EUCLIDEAN else "sqeuclidean"
     entries = cdist(source.points, target.points, metric=scipy_metric)
     # cdist can return tiny negative values for identical rows under sqeuclidean

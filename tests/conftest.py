@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from otda.data_gen import GeneratorConfig, generate, swap_val_test
-from otda.da_train import TrainConfig, alpha_sweep, train_with_model
+from otda.da_train import TrainConfig, _openblas_function, alpha_sweep, train_with_model
 
 ACCEPTANCE_SEEDS = (0, 1, 2, 3)
 ALPHA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -43,15 +43,20 @@ def method_runs(benchmark_dataset):
 
 @pytest.fixture(scope="session")
 def sweep_result(benchmark_dataset):
+    """The acceptance sweep on two pool workers: the cells equal the
+    sequential ones (test_parallel_workers_match_sequential), and the gate
+    then also runs through the forked pool."""
     import time
 
     start = time.perf_counter()
-    sweep = alpha_sweep(
-        benchmark_dataset,
-        TrainConfig(method="ot", alpha=DEFAULT_ALPHA, seed=0),
-        list(ALPHA_GRID),
-        seeds=list(ACCEPTANCE_SEEDS),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OTDA_THREADS", "2")
+        sweep = alpha_sweep(
+            benchmark_dataset,
+            TrainConfig(method="ot", alpha=DEFAULT_ALPHA, seed=0),
+            list(ALPHA_GRID),
+            seeds=list(ACCEPTANCE_SEEDS),
+        )
     sweep.elapsed_seconds = time.perf_counter() - start
     return sweep
 
@@ -66,6 +71,22 @@ def swap_runs(benchmark_dataset):
             for seed in ACCEPTANCE_SEEDS
         ]
     return runs
+
+
+@pytest.fixture
+def parent_blas_threads():
+    """The calling process runs OpenBLAS on two threads for the test, so a
+    run that kept them, or failed to give them back, shows it."""
+    set_threads = _openblas_function("set_num_threads")
+    get_threads = _openblas_function("get_num_threads")
+    if set_threads is None or get_threads is None:
+        pytest.skip("numpy exposes no OpenBLAS thread controls")
+    before = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
 
 
 def mean_test_accuracy(runs):

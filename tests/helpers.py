@@ -99,3 +99,17 @@ def cap_training_solver_at_one_iteration(monkeypatch):
     monkeypatch.setattr(
         da_train, "SinkhornConfig", lambda **kw: SinkhornConfig(**{**kw, "max_iterations": 1})
     )
+
+
+def record_blas_threads(monkeypatch, module, name, get_threads) -> list:
+    """Wrap module.<name> so that each call appends the BLAS thread count it
+    ran at to the returned list."""
+    seen = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(get_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cap_training_solver_at_one_iteration
+from helpers import cap_training_solver_at_one_iteration, record_blas_threads
 from otda.cli import run
 from otda.da_train import load_report
 from otda.eval_report import emit_tables
@@ -167,6 +167,24 @@ class TestExitCodes:
         assert code == 1
         assert payload["error"] == "ConfigurationError"
         assert "OTDA_THREADS" in payload["message"]
+
+
+class TestBlasScope:
+    def test_command_runs_one_thread_and_restores(self, data_dir, tmp_path, monkeypatch, parent_blas_threads):
+        import otda.cli
+
+        # the PCA of the emitted embeddings runs after training has returned
+        seen = record_blas_threads(monkeypatch, otda.cli, "pca_project", parent_blas_threads)
+        assert run(small_train_args(data_dir, tmp_path / "run", epochs=1)) == 0
+        assert seen and set(seen) == {1}
+        assert parent_blas_threads() == 2
+
+    @pytest.mark.parametrize("extra, code", [(["--help"], 0), (["--bogus"], 1), (["--batch-size", "32"], 2)])
+    def test_every_exit_restores(self, data_dir, tmp_path, monkeypatch, parent_blas_threads, capsys, extra, code):
+        cap_training_solver_at_one_iteration(monkeypatch)
+        assert run(small_train_args(data_dir, tmp_path / "x") + extra) == code
+        capsys.readouterr()
+        assert parent_blas_threads() == 2
 
 
 class TestSlowTail:

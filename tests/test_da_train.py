@@ -10,7 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import cap_training_solver_at_one_iteration, central_diff, grads_arrays, model_arrays, params_equal, rel_err
+from helpers import (
+    cap_training_solver_at_one_iteration,
+    central_diff,
+    grads_arrays,
+    model_arrays,
+    params_equal,
+    record_blas_threads,
+    rel_err,
+)
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import (
     METHODS,
@@ -331,39 +339,11 @@ class TestWorkerPool:
         assert has_dataset
 
 
-@pytest.fixture
-def parent_blas_threads():
-    """The calling process runs OpenBLAS on two threads for the test, so a
-    run that kept them, or failed to give them back, shows it."""
-    set_threads = _openblas_function("set_num_threads")
-    get_threads = _openblas_function("get_num_threads")
-    if set_threads is None or get_threads is None:
-        pytest.skip("numpy exposes no OpenBLAS thread controls")
-    before = get_threads()
-    set_threads(2)
-    try:
-        yield get_threads
-    finally:
-        set_threads(before)
-
-
-def _record_blas_threads(monkeypatch, module, get_threads) -> list:
-    seen = []
-    original = module.forward_features
-
-    def forward_features(*args, **kwargs):
-        seen.append(get_threads())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, "forward_features", forward_features)
-    return seen
-
-
 class TestBlasScope:
     def test_training_runs_one_thread_and_restores(self, tiny_ds, monkeypatch, parent_blas_threads):
         import otda.da_train
 
-        seen = _record_blas_threads(monkeypatch, otda.da_train, parent_blas_threads)
+        seen = record_blas_threads(monkeypatch, otda.da_train, "forward_features", parent_blas_threads)
         train_with_model(tiny_ds, small_config(method="dann", epochs=1))
         assert seen and set(seen) == {1}
         assert parent_blas_threads() == 2
@@ -373,7 +353,7 @@ class TestBlasScope:
         from otda.posthoc_align import evaluate_posthoc
 
         _, params = train_with_model(tiny_ds, small_config(epochs=1))
-        seen = _record_blas_threads(monkeypatch, otda.posthoc_align, parent_blas_threads)
+        seen = record_blas_threads(monkeypatch, otda.posthoc_align, "forward_features", parent_blas_threads)
         evaluate_posthoc(tiny_ds, params)
         assert seen and set(seen) == {1}
         assert parent_blas_threads() == 2

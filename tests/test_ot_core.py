@@ -131,6 +131,31 @@ class TestCostMatrix:
         back = cost_matrix(tgt, src).entries
         assert np.allclose(fwd, back.T)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        d=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        duplicates=st.integers(0, 40),
+        metric=st.sampled_from([EUCLIDEAN, SQUARED_EUCLIDEAN]),
+    )
+    def test_matches_cdist_bytes(self, n, m, d, seed, scale, duplicates, metric):
+        # Pins the bits a cdist replacement would have to keep; target rows
+        # copied from the source give the zero (and rounded-negative) costs
+        # the clamp exists for.
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(seed)
+        X = scale * rng.standard_normal((n, d))
+        Y = scale * rng.standard_normal((m, d))
+        copied = min(duplicates, n, m)
+        Y[:copied] = X[rng.choice(n, copied, replace=False)]
+        entries = cost_matrix(DiscreteDistribution.uniform(X), DiscreteDistribution.uniform(Y), metric).entries
+        expected = cdist(X, Y, metric="euclidean" if metric == EUCLIDEAN else "sqeuclidean")
+        assert entries.tobytes() == np.maximum(expected, 0.0).tobytes()
+
     def test_dimension_mismatch(self):
         src = DiscreteDistribution.uniform(np.zeros((2, 3)))
         tgt = DiscreteDistribution.uniform(np.zeros((2, 4)))
