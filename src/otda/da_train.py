@@ -203,7 +203,8 @@ def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_ba
         grads = grads.add(backward(params, trace_t, config.alpha * dfeat_t, None))
     else:
         grads = backward(params, trace_s, None, dlogits)
-    grads.domain_head = head_grads
+    if head_grads is not None:
+        grads = grads.with_head(head_grads)
     return ce_loss, aux_loss, grads
 
 
@@ -331,7 +332,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
             )
         )
         finals.append({"val": val_metrics, "test": test_metrics})
-        snapshots.append(params.copy())
+        snapshots.append(params)  # sgd_step never mutates its input
 
     if config.early_stopping:
         selected = int(np.argmax([r.val_accuracy for r in records]))

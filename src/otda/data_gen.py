@@ -42,6 +42,17 @@ _TEST_SCALE, _TEST_OFFSET = 2.20, 3.40
 _SCALE_JITTER = 0.03
 _OFFSET_JITTER = 0.05
 
+# Latent mixture geometry. Both classes sit on the positive side of the class
+# axis, so the optimal decision threshold is nonzero and a fixed raw-space
+# boundary misfires when a domain rescales intensities; scale-invariant
+# features do not.
+_NOISE_SIGMA = 0.50
+_CLASS_CENTERS = (1.0, 3.0)
+_LINE_SPREAD = 0.3
+_CLUSTER_SPREAD = 0.8
+_NOVEL_SPREAD = 1.3
+_CLASS1_FRACTION_RANGE = (0.4, 0.6)
+
 # Fixed seed for the latent geometry so every dataset shares the same class
 # and subcluster axes; the generator seed drives sampling and shift jitter.
 _GEOMETRY_SEED = 173
@@ -84,16 +95,6 @@ class GeneratorConfig:
     samples_per_domain: int = 600
     seed: int = 7
     shift: ShiftSpec | None = None
-    noise_sigma: float = 0.50
-    # Both classes sit on the positive side of the class axis, so the optimal
-    # decision threshold is nonzero and a fixed raw-space boundary misfires
-    # when a domain rescales intensities; scale-invariant features do not.
-    class0_center: float = 1.0
-    class1_center: float = 3.0
-    line_spread: float = 0.3
-    cluster_spread: float = 0.8
-    novel_spread: float = 1.3
-    class1_fraction_range: tuple = (0.4, 0.6)
 
     def __post_init__(self):
         if self.num_domains < 3:
@@ -178,12 +179,12 @@ def subcluster_means(config: GeneratorConfig) -> np.ndarray:
     the withheld phenotype, displaced along a direction no seen cluster uses."""
     class_axis, spread_axis, novel_axis = _latent_axes(config.dim)
     means = np.zeros((2, SUBCLUSTERS_PER_CLASS, config.dim))
-    for cls, center in ((0, config.class0_center), (1, config.class1_center)):
-        means[cls, 0] = (center - config.line_spread) * class_axis - config.cluster_spread * spread_axis
-        means[cls, 1] = (center + config.line_spread) * class_axis + config.cluster_spread * spread_axis
+    for cls, center in enumerate(_CLASS_CENTERS):
+        means[cls, 0] = (center - _LINE_SPREAD) * class_axis - _CLUSTER_SPREAD * spread_axis
+        means[cls, 1] = (center + _LINE_SPREAD) * class_axis + _CLUSTER_SPREAD * spread_axis
         means[cls, 2] = center * class_axis
     means[MASKED_CLASS, MASKED_SUBCLUSTER] = (
-        config.class1_center * class_axis + config.novel_spread * novel_axis
+        _CLASS_CENTERS[1] * class_axis + _NOVEL_SPREAD * novel_axis
     )
     return means
 
@@ -222,7 +223,7 @@ def generate(config: GeneratorConfig) -> DomainDataset:
             raise ConfigurationError(f"class {cls} has no subclusters in any train domain")
 
     means = subcluster_means(config)
-    lo, hi = config.class1_fraction_range
+    lo, hi = _CLASS1_FRACTION_RANGE
     n = config.samples_per_domain
 
     feats, labels, domains, splits, tags = [], [], [], [], []
@@ -244,7 +245,7 @@ def generate(config: GeneratorConfig) -> DomainDataset:
             if mask.any():
                 pool = included[c]
                 subs[mask] = pool[(rng.random(int(mask.sum())) * pool.size).astype(int)]
-        latent = means[y, subs] + config.noise_sigma * rng.standard_normal((n, config.dim))
+        latent = means[y, subs] + _NOISE_SIGMA * rng.standard_normal((n, config.dim))
         x = shift.scales[k] * latent + shift.offsets[k]
         feats.append(x)
         labels.append(y)
@@ -263,12 +264,12 @@ def generate(config: GeneratorConfig) -> DomainDataset:
             "dim": config.dim,
             "samples_per_domain": config.samples_per_domain,
             "seed": config.seed,
-            "noise_sigma": config.noise_sigma,
-            "class0_center": config.class0_center,
-            "class1_center": config.class1_center,
-            "line_spread": config.line_spread,
-            "cluster_spread": config.cluster_spread,
-            "novel_spread": config.novel_spread,
+            "noise_sigma": _NOISE_SIGMA,
+            "class0_center": _CLASS_CENTERS[0],
+            "class1_center": _CLASS_CENTERS[1],
+            "line_spread": _LINE_SPREAD,
+            "cluster_spread": _CLUSTER_SPREAD,
+            "novel_spread": _NOVEL_SPREAD,
         },
         "shift": {
             "scales": shift.scales.tolist(),
@@ -377,10 +378,14 @@ def load(path) -> DomainDataset:
             sidecar = json.loads(meta_path.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"{meta_path}: not valid JSON: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise ParseError(f"{meta_path}: expected a JSON object, got {type(sidecar).__name__}")
         metadata = sidecar.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ParseError(f"{meta_path}: metadata must be an object, got {type(metadata).__name__}")
         raw_tags = sidecar.get("subclusters")
         if raw_tags is not None:
-            if len(raw_tags) != feats.shape[0]:
-                raise ParseError(f"{meta_path}: {len(raw_tags)} subcluster tags for {feats.shape[0]} rows")
+            if not isinstance(raw_tags, list) or len(raw_tags) != feats.shape[0]:
+                raise ParseError(f"{meta_path}: subclusters must be a list of {feats.shape[0]} tags")
             subclusters = np.array(raw_tags, dtype=object)
     return DomainDataset(feats, labels, domains, splits, subclusters, metadata)

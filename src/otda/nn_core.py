@@ -10,9 +10,11 @@ bit for bit while making fewer passes over each block.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,42 +29,93 @@ CHECKPOINT_FORMAT = "otda-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray  # (fan_out,)
+class DenseLayer(NamedTuple):
+    """A dense layer's weight (fan_in, fan_out) and bias (fan_out,). In
+    ModelParams and ModelGrads both are views into the model's flat buffer."""
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weight.copy(), self.bias.copy())
+    weight: np.ndarray
+    bias: np.ndarray
 
 
-@dataclass
-class ModelParams:
-    """Featurizer + classifier weights, an optional domain-discriminator head,
-    and momentum buffers parallel to every parameter array."""
+def _flatten(layers) -> np.ndarray:
+    """The (weight, bias) pairs of layers laid end to end."""
+    return np.concatenate([a.reshape(-1) for layer in layers for a in layer])
 
-    featurizer: list
-    classifier: list
-    domain_head: list | None
-    velocity: dict  # component name -> list of (vel_w, vel_b)
+
+@dataclass(frozen=True)
+class _Layout:
+    """A model's layer shapes and where their entries sit in its flat buffer:
+    featurizer, then classifier, then the domain head (None when absent),
+    each layer's weight (row-major) followed by its bias. Copies and steps of
+    a model share its layout, so it is worked out once per model."""
+
+    featurizer: tuple  # (fan_in, fan_out) per layer
+    classifier: tuple
+    domain_head: tuple | None
 
     def __post_init__(self):
-        for name, layers in self._components():
-            widths = [layer.weight.shape for layer in layers]
-            for prev, nxt in zip(widths, widths[1:]):
-                if prev[1] != nxt[0]:
-                    raise ContractViolationError(
-                        f"{name} layer widths do not compose: {prev} then {nxt}"
-                    )
-            for layer, (vw, vb) in zip(layers, self.velocity[name]):
-                if vw.shape != layer.weight.shape or vb.shape != layer.bias.shape:
-                    raise ContractViolationError(f"{name} momentum buffers do not match parameter shapes")
-
-    def _components(self):
-        comps = [("featurizer", self.featurizer), ("classifier", self.classifier)]
+        components = [("featurizer", self.featurizer), ("classifier", self.classifier)]
         if self.domain_head is not None:
-            comps.append(("domain_head", self.domain_head))
-        return comps
+            components.append(("domain_head", self.domain_head))
+        for name, shapes in components:
+            if not shapes:
+                raise ContractViolationError(f"{name} has no layers")
+            if name != "featurizer":  # the heads read the features
+                shapes = (self.featurizer[-1], *shapes)
+            for prev, nxt in zip(shapes, shapes[1:]):
+                if prev[1] != nxt[0]:
+                    raise ContractViolationError(f"{name} layer widths do not compose: {prev} then {nxt}")
+
+    @functools.cached_property
+    def shapes(self) -> tuple:
+        return self.featurizer + self.classifier + (self.domain_head or ())
+
+    @functools.cached_property
+    def is_weight(self) -> np.ndarray:
+        """True at weight entries, False at bias entries."""
+        blocks = [np.repeat([True, False], (fan_in * fan_out, fan_out)) for fan_in, fan_out in self.shapes]
+        return np.concatenate(blocks)
+
+    @property
+    def size(self) -> int:
+        return self.is_weight.size
+
+    @functools.cached_property
+    def head_start(self) -> int:
+        """Length of the buffer before the domain head."""
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.featurizer + self.classifier)
+
+    def views(self, buf: np.ndarray) -> tuple:
+        """(featurizer, classifier, domain_head) as tuples of DenseLayer views
+        into buf; domain_head is None when buf stops before the head."""
+        shapes = self.shapes if buf.size > self.head_start else self.featurizer + self.classifier
+        layers, start = [], 0
+        for fan_in, fan_out in shapes:
+            mid = start + fan_in * fan_out
+            layers.append(DenseLayer(buf[start:mid].reshape(fan_in, fan_out), buf[mid:mid + fan_out]))
+            start = mid + fan_out
+        split, end = len(self.featurizer), len(self.featurizer) + len(self.classifier)
+        return tuple(layers[:split]), tuple(layers[split:end]), tuple(layers[end:]) or None
+
+
+class ModelParams:
+    """Featurizer + classifier weights and an optional domain-discriminator
+    head in one flat float64 array, and their momentum in a second array of
+    the same layout.
+
+    featurizer, classifier and domain_head (None when absent) are tuples of
+    DenseLayer views into flat: writing through a layer writes the model.
+    """
+
+    def __init__(self, layout: _Layout, flat: np.ndarray, velocity: np.ndarray):
+        if flat.shape != (layout.size,) or velocity.shape != (layout.size,):
+            raise ContractViolationError(f"parameter and momentum buffers must hold {layout.size} entries")
+        self.layout, self.flat, self.velocity = layout, flat, velocity
+        self.featurizer, self.classifier, self.domain_head = layout.views(flat)
+
+    def __reduce__(self):
+        # pickle the buffers, not the views, so an unpickled model shares them too
+        return ModelParams, (self.layout, self.flat, self.velocity)
 
     @property
     def input_dim(self) -> int:
@@ -77,12 +130,7 @@ class ModelParams:
         return self.classifier[-1].weight.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            featurizer=[l.copy() for l in self.featurizer],
-            classifier=[l.copy() for l in self.classifier],
-            domain_head=None if self.domain_head is None else [l.copy() for l in self.domain_head],
-            velocity={k: [(vw.copy(), vb.copy()) for vw, vb in v] for k, v in self.velocity.items()},
-        )
+        return ModelParams(self.layout, self.flat.copy(), self.velocity.copy())
 
 
 @dataclass
@@ -115,10 +163,6 @@ class OptimizerConfig:
             raise ContractViolationError("weight_decay must be nonnegative")
 
 
-def _zero_velocity(layers) -> list:
-    return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in layers]
-
-
 def _init_layers(widths, rng) -> list:
     layers = []
     for fan_in, fan_out in zip(widths, widths[1:]):
@@ -126,6 +170,17 @@ def _init_layers(widths, rng) -> list:
         weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         layers.append(DenseLayer(weight, np.zeros(fan_out)))
     return layers
+
+
+def _model_from_layers(featurizer, classifier, domain_head) -> ModelParams:
+    """A model holding copies of the layers' arrays, with zero momentum."""
+
+    def shapes(layers):
+        return None if layers is None else tuple(l.weight.shape for l in layers)
+
+    layout = _Layout(shapes(featurizer), shapes(classifier), shapes(domain_head))
+    flat = _flatten([*featurizer, *classifier, *(domain_head or ())])
+    return ModelParams(layout, flat, np.zeros(layout.size))
 
 
 def init_model(
@@ -150,10 +205,7 @@ def init_model(
     domain_head = None
     if domain_head_widths is not None:
         domain_head = _init_layers([feature_dim, *domain_head_widths, 1], rng)
-    velocity = {"featurizer": _zero_velocity(featurizer), "classifier": _zero_velocity(classifier)}
-    if domain_head is not None:
-        velocity["domain_head"] = _zero_velocity(domain_head)
-    return ModelParams(featurizer, classifier, domain_head, velocity)
+    return _model_from_layers(featurizer, classifier, domain_head)
 
 
 def _normalize_rows(z: np.ndarray):
@@ -209,14 +261,17 @@ def _head_forward(layers, x: np.ndarray):
     return out, inputs, preacts
 
 
-def _head_backward(layers, inputs, preacts, dout):
-    """Backprop through a dense head. Returns ([(dW, db)], dx)."""
-    grads = [None] * len(layers)
+def _head_backward(layers, inputs, preacts, dout, grads=None):
+    """Backprop through a dense head, writing each layer's (dW, db) into
+    grads (fresh arrays when None). Returns (grads, dx)."""
+    if grads is None:
+        grads = [DenseLayer(np.empty_like(l.weight), np.empty_like(l.bias)) for l in layers]
     grad = dout
     for i in range(len(layers) - 1, -1, -1):
         if i != len(layers) - 1:
             grad = grad * (preacts[i] > 0)
-        grads[i] = (inputs[i].T @ grad, grad.sum(axis=0))
+        np.matmul(inputs[i].T, grad, out=grads[i].weight)
+        np.add.reduce(grad, axis=0, out=grads[i].bias)
         grad = grad @ layers[i].weight.T
     return grads, grad
 
@@ -224,10 +279,9 @@ def _head_backward(layers, inputs, preacts, dout):
 def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Map features to logits through the classification head."""
     f = np.asarray(features, dtype=float)
-    if f.ndim != 2 or f.shape[1] != params.classifier[0].weight.shape[0]:
+    if f.ndim != 2 or f.shape[1] != params.feature_dim:
         raise ContractViolationError(
-            f"features of shape {f.shape} do not match classifier input width "
-            f"{params.classifier[0].weight.shape[0]}"
+            f"features of shape {f.shape} do not match classifier input width {params.feature_dim}"
         )
     out, _, _ = _head_forward(params.classifier, f)
     return out
@@ -256,26 +310,25 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
     return loss, grads
 
 
-@dataclass
 class ModelGrads:
-    """Gradients shape-parallel to ModelParams; domain_head may be None."""
+    """Gradients in the flat layout of ModelParams. The buffer stops before
+    the domain head when there are no head gradients; featurizer, classifier
+    and domain_head (None then) are tuples of (dW, db) views into it."""
 
-    featurizer: list
-    classifier: list
-    domain_head: list | None = None
+    def __init__(self, layout: _Layout, flat: np.ndarray):
+        if flat.shape not in ((layout.head_start,), (layout.size,)):
+            raise ContractViolationError(f"gradient buffer of shape {flat.shape} does not fit the model's layout")
+        self.layout, self.flat = layout, flat
+        self.featurizer, self.classifier, self.domain_head = layout.views(flat)
 
     def add(self, other: "ModelGrads") -> "ModelGrads":
-        def _sum(a, b):
-            return [(gw + hw, gb + hb) for (gw, gb), (hw, hb) in zip(a, b)]
+        if other.layout != self.layout or other.flat.shape != self.flat.shape:
+            raise ContractViolationError("gradients of different layouts or head coverage do not add")
+        return ModelGrads(self.layout, self.flat + other.flat)
 
-        head = self.domain_head
-        if other.domain_head is not None:
-            head = other.domain_head if head is None else _sum(head, other.domain_head)
-        return ModelGrads(
-            featurizer=_sum(self.featurizer, other.featurizer),
-            classifier=_sum(self.classifier, other.classifier),
-            domain_head=head,
-        )
+    def with_head(self, head_grads) -> "ModelGrads":
+        """These gradients followed by the domain head's [(dW, db)]."""
+        return ModelGrads(self.layout, np.concatenate([self.flat, _flatten(head_grads)]))
 
 
 def _norm_backward(dy, y, scale, floored):
@@ -308,14 +361,14 @@ def backward(
     if trace.features.shape[1] != params.feature_dim:
         raise ContractViolationError("trace feature width does not match the model")
 
+    grads = ModelGrads(params.layout, np.zeros(params.layout.head_start))
     dfeatures = np.zeros_like(trace.features)
-    classifier_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.classifier]
     if upstream_logit_grads is not None:
         dlogits = np.asarray(upstream_logit_grads, dtype=float)
         if dlogits.shape != (trace.features.shape[0], params.num_classes):
             raise ContractViolationError(f"logit grads shape {dlogits.shape} does not match the trace")
         _, inputs, preacts = _head_forward(params.classifier, trace.features)
-        classifier_grads, dx = _head_backward(params.classifier, inputs, preacts, dlogits)
+        _, dx = _head_backward(params.classifier, inputs, preacts, dlogits, grads.classifier)
         dfeatures += dx
     if upstream_feature_grads is not None:
         g = np.asarray(upstream_feature_grads, dtype=float)
@@ -323,44 +376,38 @@ def backward(
             raise ContractViolationError(f"feature grads shape {g.shape} does not match the trace")
         dfeatures += g
 
-    featurizer_grads = [None] * len(params.featurizer)
     grad = dfeatures
     for i in range(len(params.featurizer) - 1, -1, -1):
         dy = grad * (trace.normalized[i] > 0)
         dz = _norm_backward(dy, trace.normalized[i], trace.scales[i], trace.floored[i])
-        featurizer_grads[i] = (trace.inputs[i].T @ dz, dz.sum(axis=0))
+        np.matmul(trace.inputs[i].T, dz, out=grads.featurizer[i].weight)
+        np.add.reduce(dz, axis=0, out=grads.featurizer[i].bias)
         if i > 0:  # nothing reads the gradient of the network's inputs
             grad = dz @ params.featurizer[i].weight.T
-    return ModelGrads(featurizer=featurizer_grads, classifier=classifier_grads)
+    return grads
 
 
 def sgd_step(params: ModelParams, grads: ModelGrads, config: OptimizerConfig) -> ModelParams:
-    """One SGD-with-momentum step: v <- mu v + (g + wd * w); w <- w - lr v.
+    """One SGD-with-momentum step over the flat buffers:
+    v <- mu v + (g + wd * w); w <- w - lr v.
 
-    Weight decay applies to weight matrices only, never biases. Components
-    without gradients (e.g. the domain head on a plain step) are untouched.
-    Returns a new ModelParams; the input is not mutated.
+    Weight decay applies to weight entries only, never biases. Gradients
+    without a domain head step the buffers' prefix before it, so the head's
+    weights and momentum stay untouched. Returns a new ModelParams; the
+    input is not mutated.
     """
+    if grads.layout != params.layout:
+        raise ContractViolationError("gradients do not match the model's layout")
+    n = grads.flat.size
+    # where= leaves bias entries at exactly g: a float mask's 0 * w term
+    # would turn a -0.0 gradient into +0.0.
+    step = grads.flat.copy()
+    np.add(step, config.weight_decay * params.flat[:n], out=step, where=params.layout.is_weight[:n])
     new = params.copy()
-    updates = {"featurizer": grads.featurizer, "classifier": grads.classifier}
-    if grads.domain_head is not None:
-        if new.domain_head is None:
-            raise ContractViolationError("domain head gradients supplied for a model without one")
-        updates["domain_head"] = grads.domain_head
-    for name, layer_grads in updates.items():
-        layers = getattr(new, name)
-        if len(layer_grads) != len(layers):
-            raise ContractViolationError(f"{name} gradient count does not match layer count")
-        for layer, (dw, db), vel in zip(layers, layer_grads, new.velocity[name]):
-            if dw.shape != layer.weight.shape or db.shape != layer.bias.shape:
-                raise ContractViolationError(f"{name} gradient shapes do not match parameters")
-            vw, vb = vel
-            vw *= config.momentum
-            vw += dw + config.weight_decay * layer.weight
-            vb *= config.momentum
-            vb += db
-            layer.weight -= config.learning_rate * vw
-            layer.bias -= config.learning_rate * vb
+    velocity = new.velocity[:n]
+    velocity *= config.momentum
+    velocity += step
+    new.flat[:n] -= config.learning_rate * velocity
     return new
 
 
@@ -375,17 +422,18 @@ def _layers_to_json(layers):
     ]
 
 
-def _layers_from_json(spec, where):
+def _layers_from_json(spec, where, name):
+    if not isinstance(spec, list):
+        raise ParseError(f"{where}: {name} must be a list of layers, got {type(spec).__name__}")
     layers = []
     for i, entry in enumerate(spec):
         try:
-            shape = tuple(entry["shape"])
-            weight = np.array(entry["weight"], dtype=float).reshape(shape)
+            weight = np.array(entry["weight"], dtype=float).reshape(tuple(entry["shape"]))
             bias = np.array(entry["bias"], dtype=float)
         except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(f"{where}: malformed layer {i}: {exc}") from exc
-        if bias.shape != (shape[1],):
-            raise ParseError(f"{where}: layer {i} bias length {bias.shape} does not match shape {shape}")
+        if weight.ndim != 2 or bias.shape != weight.shape[1:]:
+            raise ParseError(f"{where}: layer {i} has weight shape {weight.shape} and bias shape {bias.shape}")
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise ParseError(f"{where}: layer {i} holds a non-finite weight or bias")
         layers.append(DenseLayer(weight, bias))
@@ -411,16 +459,17 @@ def load_checkpoint(path) -> ModelParams:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}: not a checkpoint file (a JSON {type(payload).__name__}, not an object)")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"{where}: not a checkpoint file (format={payload.get('format')!r})")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"{where}: unsupported checkpoint version {payload.get('version')!r}")
-    featurizer = _layers_from_json(payload["featurizer"], where)
-    classifier = _layers_from_json(payload["classifier"], where)
-    domain_head = None
-    if payload.get("domain_head") is not None:
-        domain_head = _layers_from_json(payload["domain_head"], where)
-    velocity = {"featurizer": _zero_velocity(featurizer), "classifier": _zero_velocity(classifier)}
-    if domain_head is not None:
-        velocity["domain_head"] = _zero_velocity(domain_head)
-    return ModelParams(featurizer, classifier, domain_head, velocity)
+    featurizer = _layers_from_json(payload.get("featurizer"), where, "featurizer")
+    classifier = _layers_from_json(payload.get("classifier"), where, "classifier")
+    head = payload.get("domain_head")
+    domain_head = None if head is None else _layers_from_json(head, where, "domain_head")
+    try:
+        return _model_from_layers(featurizer, classifier, domain_head)
+    except ContractViolationError as exc:
+        raise ParseError(f"{where}: {exc}") from exc

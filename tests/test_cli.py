@@ -2,6 +2,7 @@
 and byte-identical reruns."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert json.loads(err)["error"] == "ConfigurationError"
+
+    @pytest.mark.parametrize("sidecar", ["[]", '{"subclusters": 5}', '{"metadata": 5}'])
+    def test_malformed_sidecar_is_parse_error(self, data_dir, tmp_path, capsys, sidecar):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "dataset.meta.json").write_text(sidecar)
+        code = run(["train", "--method", "erm", "--epochs", "1", "--data", str(data), "--out", str(tmp_path / "o")])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert payload["error"] == "ParseError"
 
     def test_help_exits_zero(self, capsys):
         assert run(["train", "--help"]) == 0

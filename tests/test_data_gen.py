@@ -3,9 +3,14 @@ shift behavior, CSV round trips, and parse errors."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import probe_accuracy
 from otda.data_gen import (
+    SPLITS,
+    DomainDataset,
     GeneratorConfig,
     ShiftSpec,
     SUBCLUSTERS_PER_CLASS,
@@ -16,6 +21,32 @@ from otda.data_gen import (
     swap_val_test,
 )
 from otda.errors import ConfigurationError, ParseError
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def small_datasets(draw):
+    """Datasets of a few rows: one or more train domains, one val and one
+    test domain, rows in any order, any finite features."""
+    domains = draw(st.lists(st.integers(-3, 50), min_size=3, max_size=5, unique=True))
+    split_of = dict(zip(domains, ["val", "test"] + ["train"] * (len(domains) - 2)))
+    rows = draw(st.permutations(domains + draw(st.lists(st.sampled_from(domains), max_size=6))))
+    n, d = len(rows), draw(st.integers(1, 3))
+    tags = draw(st.none() | st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    return DomainDataset(
+        features=draw(arrays(float, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False))),
+        labels=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int),
+        domain_ids=np.array(rows, dtype=int),
+        splits=np.array([split_of[r] for r in rows], dtype=object),
+        subclusters=None if tags is None else np.array(tags, dtype=object),
+        metadata=draw(st.dictionaries(st.text(), _JSON, max_size=3)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +151,26 @@ class TestSaveLoad:
         save(default_ds, tmp_path / "a.csv")
         save(default_ds, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dataset=small_datasets())
+    def test_round_trip_keeps_everything_but_float_digits(self, tmp_path, dataset):
+        save(dataset, tmp_path / "a.csv")
+        loaded = load(tmp_path / "a.csv")
+        assert np.array_equal(loaded.labels, dataset.labels)
+        assert np.array_equal(loaded.domain_ids, dataset.domain_ids)
+        assert loaded.splits.tolist() == dataset.splits.tolist()
+        assert set(loaded.splits.tolist()) <= set(SPLITS)
+        if dataset.subclusters is None:
+            assert loaded.subclusters is None
+        else:
+            assert loaded.subclusters.tolist() == dataset.subclusters.tolist()
+        assert loaded.metadata == dataset.metadata
+        rounded = np.array([[float(f"{v:.9g}") for v in row] for row in dataset.features])
+        assert loaded.features.tobytes() == rounded.tobytes()
+        save(loaded, tmp_path / "b.csv")
+        for name in ("{}.csv", "{}.meta.json"):
+            assert (tmp_path / name.format("b")).read_bytes() == (tmp_path / name.format("a")).read_bytes()
 
     def test_empty_file_is_parse_error(self, tmp_path):
         path = tmp_path / "empty.csv"

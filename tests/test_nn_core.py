@@ -2,6 +2,7 @@
 optimizer closed forms, initialization scale, and checkpoint round trips."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -237,15 +238,12 @@ class TestBackward:
 
 class TestSgdStep:
     def zero_grads(self, params):
-        return ModelGrads(
-            featurizer=[(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.featurizer],
-            classifier=[(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.classifier],
-        )
+        return ModelGrads(params.layout, np.zeros(params.layout.head_start))
 
     def test_plain_gradient_descent(self):
         params = tiny_model(seed=12)
         grads = self.zero_grads(params)
-        grads.featurizer[0] = (np.ones_like(params.featurizer[0].weight), np.zeros(6))
+        grads.featurizer[0].weight[...] = 1.0
         before = params.featurizer[0].weight.copy()
         updated = sgd_step(params, grads, OptimizerConfig(0.05, 0.0, 0.0))
         assert np.allclose(updated.featurizer[0].weight, before - 0.05)
@@ -262,7 +260,7 @@ class TestSgdStep:
         params = tiny_model(seed=14)
         grads = self.zero_grads(params)
         g = np.ones_like(params.classifier[0].weight)
-        grads.classifier[0] = (g, np.zeros_like(params.classifier[0].bias))
+        grads.classifier[0].weight[...] = g
         before = params.classifier[0].weight.copy()
         config = OptimizerConfig(1.0, 0.9, 0.0)
         params = sgd_step(params, grads, config)
@@ -273,9 +271,66 @@ class TestSgdStep:
         params = tiny_model(seed=15)
         before = params.featurizer[0].weight.copy()
         grads = self.zero_grads(params)
-        grads.featurizer[0] = (np.ones_like(before), np.zeros(6))
+        grads.featurizer[0].weight[...] = 1.0
         sgd_step(params, grads, OptimizerConfig(0.1, 0.5, 0.0))
         assert np.array_equal(params.featurizer[0].weight, before)
+
+    def test_matches_per_layer_update_bitwise(self):
+        # the per-layer update that sgd_step replaced is the reference; the
+        # featurizer's -0.0 bias gradients and momenta show whether bias
+        # entries see any weight-decay term
+        params = tiny_model(seed=18, domain_head=True)
+        rng = np.random.default_rng(18)
+        params.flat[:] = rng.standard_normal(params.flat.size)
+        params.velocity[:] = rng.standard_normal(params.flat.size)
+        grads = ModelGrads(params.layout, rng.standard_normal(params.flat.size))
+        for layer in grads.featurizer + params.layout.views(params.velocity)[0]:
+            layer.bias[...] = -0.0
+        config = OptimizerConfig(0.05, 0.9, 0.01)
+        stepped = sgd_step(params, grads, config)
+
+        def layers(buf):
+            return sum(params.layout.views(buf), ())
+
+        buffers = (params.flat, grads.flat, params.velocity, stepped.flat, stepped.velocity)
+        for w, g, v, new_w, new_v in zip(*map(layers, buffers)):
+            vw = v.weight * config.momentum
+            vw += g.weight + config.weight_decay * w.weight
+            vb = v.bias * config.momentum
+            vb += g.bias
+            assert new_v.weight.tobytes() == vw.tobytes() and new_v.bias.tobytes() == vb.tobytes()
+            assert new_w.weight.tobytes() == (w.weight - config.learning_rate * vw).tobytes()
+            assert new_w.bias.tobytes() == (w.bias - config.learning_rate * vb).tobytes()
+
+    def test_headless_grads_leave_the_head_alone(self):
+        params = tiny_model(seed=19, domain_head=True)
+        rng = np.random.default_rng(19)
+        config = OptimizerConfig(0.05, 0.9, 0.01)
+        params = sgd_step(params, ModelGrads(params.layout, rng.standard_normal(params.layout.size)), config)
+        head = params.layout.head_start
+        stepped = sgd_step(params, ModelGrads(params.layout, rng.standard_normal(head)), config)
+        assert stepped.flat[head:].tobytes() == params.flat[head:].tobytes()
+        assert stepped.velocity[head:].tobytes() == params.velocity[head:].tobytes()
+        assert not np.array_equal(stepped.flat[:head], params.flat[:head])
+        with pytest.raises(ContractViolationError):
+            sgd_step(tiny_model(seed=19), ModelGrads(params.layout, np.zeros(params.layout.size)), config)
+
+    def test_grad_components_reject_assignment(self):
+        grads = self.zero_grads(tiny_model(seed=20))
+        with pytest.raises(TypeError):
+            grads.featurizer[0] = (np.ones((4, 6)), np.zeros(6))
+
+
+class TestFlatBuffer:
+    def test_layers_view_one_buffer_in_layout_order(self):
+        params = tiny_model(seed=21, domain_head=True)
+        assert params.flat.tobytes() == b"".join(a.tobytes() for a in model_arrays(params))
+        copied = params.copy()
+        for model in (params, copied, pickle.loads(pickle.dumps(params))):
+            for layer in model.featurizer + model.classifier + model.domain_head:
+                assert np.shares_memory(layer.weight, model.flat) and np.shares_memory(layer.bias, model.flat)
+        assert not np.shares_memory(copied.flat, params.flat)
+        assert not np.shares_memory(copied.velocity, params.velocity)
 
 
 class TestInitialization:
@@ -303,7 +358,7 @@ class TestCheckpoint:
         assert params_equal(params.featurizer, loaded.featurizer)
         assert params_equal(params.classifier, loaded.classifier)
         assert params_equal(params.domain_head, loaded.domain_head)
-        assert all(np.all(vw == 0) for vw, _ in loaded.velocity["featurizer"])
+        assert loaded.velocity.shape == params.flat.shape and not loaded.velocity.any()
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -337,5 +392,24 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["classifier"][0][field][0] = value
         path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: [payload],
+            lambda payload: {k: v for k, v in payload.items() if k != "featurizer"},
+            lambda payload: {**payload, "featurizer": 5},
+            lambda payload: {**payload, "featurizer": [{**payload["featurizer"][0], "shape": [24]}]},
+            # a classifier reading 6 inputs behind a featurizer of width 5
+            lambda payload: {**payload, "classifier": [{"shape": [6, 3], "weight": [0.0] * 18, "bias": [0.0] * 3}]},
+        ],
+        ids=["json-array", "no-featurizer", "featurizer-not-a-list", "one-dim-shape", "classifier-width"],
+    )
+    def test_malformed_structure_is_parse_error(self, tmp_path, corrupt):
+        path = tmp_path / "model.json"
+        save_checkpoint(tiny_model(seed=5), path)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
         with pytest.raises(ParseError):
             load_checkpoint(path)
