@@ -166,9 +166,9 @@ def _adversary_term(params: ModelParams, features_s, features_t, config: TrainCo
     n = len(features_s)
     stacked = np.vstack([features_s, features_t])
     domain_targets = np.concatenate([np.zeros(n), np.ones(len(features_t))])
-    head_out, head_inputs, head_preacts = _head_forward(params.domain_head, stacked)
+    head_out, head_inputs = _head_forward(params.domain_head, stacked)
     domain_loss, dhead = binary_cross_entropy_with_logits(head_out, domain_targets)
-    head_grads, dstacked = _head_backward(params.domain_head, head_inputs, head_preacts, dhead)
+    head_grads, dstacked = _head_backward(params.domain_head, head_inputs, dhead)
     return domain_loss, -dstacked[:n], -dstacked[n:], head_grads
 
 

@@ -329,6 +329,59 @@ def save(dataset: DomainDataset, path) -> None:
     _meta_path(path).write_text(json.dumps(sidecar, sort_keys=True))
 
 
+# Data lines parsed together by load: the split strings of one block are
+# alive at once, about 100 kB, where a whole file's would be megabytes.
+_LOAD_BLOCK_LINES = 128
+
+
+def _parse_rows(rows, d):
+    """(features, labels, domain ids, splits) of the split data lines, parsed
+    and checked whole-array at a time; None when some line is malformed.
+    np.array parses the feature strings as float() does."""
+    if not set(map(len, rows)) <= {3 + d}:
+        return None
+    try:
+        domains = np.array([int(parts[0]) for parts in rows], dtype=int)
+        labels = np.array([int(parts[2]) for parts in rows], dtype=int)
+        feats = np.array([parts[3:] for parts in rows], dtype=float).reshape(len(rows), d)
+    except (ValueError, OverflowError):
+        return None
+    splits = np.array([parts[1] for parts in rows], dtype=object)
+    if not set(splits.tolist()) <= set(SPLITS):
+        return None
+    if not (np.all((labels == 0) | (labels == 1)) and np.all(np.isfinite(feats))):
+        return None
+    return feats, labels, domains, splits
+
+
+def _parse_rows_one_by_one(path, rows, d, first_lineno):
+    """_parse_rows line by line: raises ParseError naming the first
+    malformed line, counting rows[0] as line first_lineno."""
+    feats = np.empty((len(rows), d))
+    labels = np.empty(len(rows), dtype=int)
+    domains = np.empty(len(rows), dtype=int)
+    splits = np.empty(len(rows), dtype=object)
+    for i, parts in enumerate(rows):
+        lineno = first_lineno + i
+        if len(parts) != 3 + d:
+            raise ParseError(f"{path}: line {lineno}: expected {3 + d} fields, got {len(parts)}")
+        try:
+            domains[i] = int(parts[0])
+            label = int(parts[2])
+            feats[i] = [float(v) for v in parts[3:]]
+        except (ValueError, OverflowError) as exc:  # OverflowError: a domain id beyond int64
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if parts[1] not in SPLITS:
+            raise ParseError(f"{path}: line {lineno}: unknown split {parts[1]!r}")
+        if label not in (0, 1):
+            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label}")
+        if not np.all(np.isfinite(feats[i])):
+            raise ParseError(f"{path}: line {lineno}: non-finite feature value")
+        splits[i] = parts[1]
+        labels[i] = label
+    return feats, labels, domains, splits
+
+
 def load(path) -> DomainDataset:
     """Read a dataset written by save(); raises ParseError with the offending
     line number on malformed content. The sidecar is optional."""
@@ -346,29 +399,14 @@ def load(path) -> DomainDataset:
     if header[3:] != [f"f{j}" for j in range(d)]:
         raise ParseError(f"{path}: line 1: feature columns must be f0..f{d - 1}")
 
-    feats = np.empty((len(lines) - 1, d))
-    labels = np.empty(len(lines) - 1, dtype=int)
-    domains = np.empty(len(lines) - 1, dtype=int)
-    splits = np.empty(len(lines) - 1, dtype=object)
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != 3 + d:
-            raise ParseError(f"{path}: line {lineno}: expected {3 + d} fields, got {len(parts)}")
-        try:
-            domains[i] = int(parts[0])
-            label = int(parts[2])
-            feats[i] = [float(v) for v in parts[3:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if parts[1] not in SPLITS:
-            raise ParseError(f"{path}: line {lineno}: unknown split {parts[1]!r}")
-        if label not in (0, 1):
-            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label}")
-        if not np.all(np.isfinite(feats[i])):
-            raise ParseError(f"{path}: line {lineno}: non-finite feature value")
-        splits[i] = parts[1]
-        labels[i] = label
+    blocks = []
+    for start in range(1, len(lines), _LOAD_BLOCK_LINES):
+        rows = [line.split(",") for line in lines[start:start + _LOAD_BLOCK_LINES]]
+        columns = _parse_rows(rows, d)
+        if columns is None:
+            columns = _parse_rows_one_by_one(path, rows, d, first_lineno=start + 1)
+        blocks.append(columns)
+    feats, labels, domains, splits = (np.concatenate(column) for column in zip(*blocks or [_parse_rows([], d)]))
 
     subclusters = None
     metadata = {}

@@ -208,19 +208,23 @@ def init_model(
     return _model_from_layers(featurizer, classifier, domain_head)
 
 
-def _normalize_rows(z: np.ndarray):
-    # np.mean and np.var step by step: sum, divide by the count, and square
-    # the centered rows, which divided by the scale are also the output.
+def _normalize_rows(z: np.ndarray, squares: np.ndarray | None = None):
+    """Normalize z's rows in place; returns (z, scale, floored).
+
+    np.mean and np.var step by step: sum, divide by the count, and square
+    the centered rows, which divided by the scale are also the output. The
+    squares go to `squares`, a buffer of z's shape that the caller hands
+    over (a fresh one when None)."""
     k = z.shape[1]
     mean = np.add.reduce(z, axis=1, keepdims=True)
     mean /= k
-    centered = z - mean
-    var = np.add.reduce(np.square(centered), axis=1, keepdims=True)
+    z -= mean
+    var = np.add.reduce(np.square(z, out=squares), axis=1, keepdims=True)
     var /= k
     floored = var <= VARIANCE_FLOOR
     scale = np.sqrt(np.where(floored, VARIANCE_FLOOR, var))
-    centered /= scale
-    return centered, scale, floored
+    z /= scale
+    return z, scale, floored
 
 
 def forward_features(params: ModelParams, inputs: np.ndarray) -> tuple:
@@ -238,38 +242,46 @@ def forward_features(params: ModelParams, inputs: np.ndarray) -> tuple:
         trace.inputs.append(x)
         z = x @ layer.weight
         z += layer.bias
-        y, scale, floored = _normalize_rows(z)
+        # the squares' buffer becomes the block's output
+        x = np.empty_like(z)
+        y, scale, floored = _normalize_rows(z, squares=x)
         trace.normalized.append(y)
         trace.scales.append(scale)
         trace.floored.append(floored)
-        x = np.maximum(y, 0.0)
+        np.maximum(y, 0.0, out=x)
     trace.features = x
     return x, trace
 
 
+def _head_inputs(layers, x: np.ndarray) -> list:
+    """Each layer's input in a dense head, ReLU between layers: x, then the
+    hidden activations. The final layer's output is not computed."""
+    inputs = [x]
+    for layer in layers[:-1]:
+        z = inputs[-1] @ layer.weight
+        z += layer.bias
+        inputs.append(np.maximum(z, 0.0, out=z))
+    return inputs
+
+
 def _head_forward(layers, x: np.ndarray):
-    """Dense head: ReLU between layers, final layer linear. Returns
-    (output, per-layer inputs, per-layer pre-activations)."""
-    inputs, preacts = [], []
-    out = x
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        inputs.append(out)
-        z = out @ layer.weight + layer.bias
-        preacts.append(z)
-        out = z if i == last else np.maximum(z, 0.0)
-    return out, inputs, preacts
+    """Dense head, final layer linear. Returns (output, per-layer inputs)."""
+    inputs = _head_inputs(layers, x)
+    out = inputs[-1] @ layers[-1].weight
+    out += layers[-1].bias
+    return out, inputs
 
 
-def _head_backward(layers, inputs, preacts, dout, grads=None):
+def _head_backward(layers, inputs, dout, grads=None):
     """Backprop through a dense head, writing each layer's (dW, db) into
-    grads (fresh arrays when None). Returns (grads, dx)."""
+    grads (fresh arrays when None). A hidden unit passes gradient where its
+    ReLU output, the next layer's input, is positive. Returns (grads, dx)."""
     if grads is None:
         grads = [DenseLayer(np.empty_like(l.weight), np.empty_like(l.bias)) for l in layers]
     grad = dout
     for i in range(len(layers) - 1, -1, -1):
-        if i != len(layers) - 1:
-            grad = grad * (preacts[i] > 0)
+        if i != len(layers) - 1:  # grad is the product below, so it can be masked in place
+            grad *= inputs[i + 1] > 0
         np.matmul(inputs[i].T, grad, out=grads[i].weight)
         np.add.reduce(grad, axis=0, out=grads[i].bias)
         grad = grad @ layers[i].weight.T
@@ -283,7 +295,7 @@ def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"features of shape {f.shape} do not match classifier input width {params.feature_dim}"
         )
-    out, _, _ = _head_forward(params.classifier, f)
+    out, _ = _head_forward(params.classifier, f)
     return out
 
 
@@ -313,13 +325,30 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
 class ModelGrads:
     """Gradients in the flat layout of ModelParams. The buffer stops before
     the domain head when there are no head gradients; featurizer, classifier
-    and domain_head (None then) are tuples of (dW, db) views into it."""
+    and domain_head (None then) are tuples of (dW, db) views into it, built
+    on first use: sums and head extensions that only step the model never
+    read them."""
 
     def __init__(self, layout: _Layout, flat: np.ndarray):
         if flat.shape not in ((layout.head_start,), (layout.size,)):
             raise ContractViolationError(f"gradient buffer of shape {flat.shape} does not fit the model's layout")
         self.layout, self.flat = layout, flat
-        self.featurizer, self.classifier, self.domain_head = layout.views(flat)
+
+    @functools.cached_property
+    def _views(self) -> tuple:
+        return self.layout.views(self.flat)
+
+    @property
+    def featurizer(self) -> tuple:
+        return self._views[0]
+
+    @property
+    def classifier(self) -> tuple:
+        return self._views[1]
+
+    @property
+    def domain_head(self) -> tuple | None:
+        return self._views[2]
 
     def add(self, other: "ModelGrads") -> "ModelGrads":
         if other.layout != self.layout or other.flat.shape != self.flat.shape:
@@ -332,10 +361,20 @@ class ModelGrads:
 
 
 def _norm_backward(dy, y, scale, floored):
-    # y = (z - mean z) / s. For rows above the floor s depends on z; for
-    # floored rows s is the constant sqrt(floor).
-    centered = dy - dy.mean(axis=1, keepdims=True)
-    dz = y * (dy * y).mean(axis=1, keepdims=True)
+    """Gradient through y = (z - mean z) / s. For rows above the floor s
+    depends on z; for floored rows s is the constant sqrt(floor).
+
+    dy is a buffer the caller hands over: it is overwritten with its
+    row-centered values. The means repeat np.mean's steps (sum, then divide
+    by the count), as _normalize_rows does."""
+    k = dy.shape[1]
+    dz = np.multiply(dy, y)
+    projection = np.add.reduce(dz, axis=1, keepdims=True)
+    projection /= k
+    np.multiply(y, projection, out=dz)
+    mean = np.add.reduce(dy, axis=1, keepdims=True)
+    mean /= k
+    centered = np.subtract(dy, mean, out=dy)
     np.subtract(centered, dz, out=dz)
     dz /= scale
     if floored.any():
@@ -353,7 +392,7 @@ def backward(
     """Reverse-mode gradients of any scalar loss whose partials with respect
     to the features and/or the logits are supplied.
 
-    The classifier's intermediates are recomputed from the traced features;
+    The classifier's layer inputs are recomputed from the traced features;
     both upstream terms may be given at once and their contributions sum.
     """
     if len(trace.inputs) != len(params.featurizer):
@@ -362,24 +401,30 @@ def backward(
         raise ContractViolationError("trace feature width does not match the model")
 
     grads = ModelGrads(params.layout, np.zeros(params.layout.head_start))
-    dfeatures = np.zeros_like(trace.features)
+    # The feature gradient is the sum 0 + dx + g, which is +0.0 where dx and
+    # g are both -0.0: adding +0.0 first keeps that without a zero buffer.
+    grad = None
     if upstream_logit_grads is not None:
         dlogits = np.asarray(upstream_logit_grads, dtype=float)
         if dlogits.shape != (trace.features.shape[0], params.num_classes):
             raise ContractViolationError(f"logit grads shape {dlogits.shape} does not match the trace")
-        _, inputs, preacts = _head_forward(params.classifier, trace.features)
-        _, dx = _head_backward(params.classifier, inputs, preacts, dlogits, grads.classifier)
-        dfeatures += dx
+        inputs = _head_inputs(params.classifier, trace.features)
+        _, grad = _head_backward(params.classifier, inputs, dlogits, grads.classifier)
+        grad += 0.0
     if upstream_feature_grads is not None:
         g = np.asarray(upstream_feature_grads, dtype=float)
         if g.shape != trace.features.shape:
             raise ContractViolationError(f"feature grads shape {g.shape} does not match the trace")
-        dfeatures += g
+        if grad is None:
+            grad = g + 0.0
+        else:
+            grad += g
+    if grad is None:
+        grad = np.zeros_like(trace.features)
 
-    grad = dfeatures
     for i in range(len(params.featurizer) - 1, -1, -1):
-        dy = grad * (trace.normalized[i] > 0)
-        dz = _norm_backward(dy, trace.normalized[i], trace.scales[i], trace.floored[i])
+        grad *= trace.normalized[i] > 0  # grad is ours: the sum above or the product below
+        dz = _norm_backward(grad, trace.normalized[i], trace.scales[i], trace.floored[i])
         np.matmul(trace.inputs[i].T, dz, out=grads.featurizer[i].weight)
         np.add.reduce(dz, axis=0, out=grads.featurizer[i].bias)
         if i > 0:  # nothing reads the gradient of the network's inputs
@@ -407,7 +452,7 @@ def sgd_step(params: ModelParams, grads: ModelGrads, config: OptimizerConfig) ->
     velocity = new.velocity[:n]
     velocity *= config.momentum
     velocity += step
-    new.flat[:n] -= config.learning_rate * velocity
+    new.flat[:n] -= np.multiply(config.learning_rate, velocity, out=step)
     return new
 
 

@@ -171,11 +171,20 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
 def entropy(plan) -> float:
     """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0."""
     gamma = np.asarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float)
-    if gamma.size and gamma.min() > 0:
-        # Every entry counts, in the masked path's order, with no scan for
-        # negatives and no masked copy.
-        flat = gamma.reshape(-1)
-        return float(-np.sum(flat * np.log(flat)))
+    return _entropy(gamma, np.empty(gamma.shape))
+
+
+def _entropy(gamma, scratch) -> float:
+    """entropy(gamma), with the terms g log g written to scratch, a C-ordered
+    buffer of gamma's shape that the caller hands over. The terms are summed
+    in C order, which is the order of the masked sum. A zero, negative or NaN
+    entry makes the sum NaN; only then is the masked sum taken."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(gamma, out=scratch)
+        np.multiply(gamma, scratch, out=scratch)
+    total = np.sum(scratch.reshape(-1))
+    if not np.isnan(total):
+        return float(-total)
     if np.any(gamma < 0):
         raise ContractViolationError("plan entries must be nonnegative")
     positive = gamma[gamma > 0]
@@ -234,20 +243,40 @@ def exact_ot_bruteforce(cost: CostMatrix, source: DiscreteDistribution, target: 
     return plan, best_cost
 
 
-def _round_to_feasible(gamma, a, b):
+def _shrink(gamma, sums, target, axis):
+    """Scale down, in place, the rows (axis=1) or columns (axis=0) of gamma
+    whose sums exceed target. Returns whether gamma changed: a factor of
+    exactly 1.0 changes no bit, so an all-ones factor is not applied. (After
+    the row shrink, no column of a rounded training plan was found too
+    large.)"""
+    factor = np.minimum(1.0, target / np.where(sums > 0, sums, 1.0))
+    if (factor == 1.0).all():
+        return False
+    gamma *= factor[:, None] if axis == 1 else factor[None, :]
+    return True
+
+
+def _round_to_feasible(gamma, a, b, scratch=None):
     """Project an almost-feasible plan onto the transport polytope, in place:
     shrink overfull rows and columns, then spread the leftover mass as a
-    rank-one correction. The result has exact marginals (to float addition),
-    so its cost can never undercut the unregularized optimum."""
+    rank-one correction, built in scratch (a buffer of gamma's shape that the
+    caller hands over, or a fresh one when None). The result has exact
+    marginals (to float addition), so its cost can never undercut the
+    unregularized optimum."""
     rows = gamma.sum(axis=1)
-    gamma *= np.minimum(1.0, a / np.where(rows > 0, rows, 1.0))[:, None]
+    rows_moved = _shrink(gamma, rows, a, axis=1)
     cols = gamma.sum(axis=0)
-    gamma *= np.minimum(1.0, b / np.where(cols > 0, cols, 1.0))[None, :]
-    missing_a = np.maximum(a - gamma.sum(axis=1), 0.0)
-    missing_b = np.maximum(b - gamma.sum(axis=0), 0.0)
+    if _shrink(gamma, cols, b, axis=0):
+        cols = gamma.sum(axis=0)
+        rows_moved = True
+    if rows_moved:
+        rows = gamma.sum(axis=1)
+    missing_a = np.maximum(a - rows, 0.0)
+    missing_b = np.maximum(b - cols, 0.0)
     total = missing_a.sum()
     if total > 0:
-        correction = np.outer(missing_a, missing_b)
+        # np.outer's product, written into the scratch
+        correction = np.multiply(missing_a[:, None], missing_b[None, :], out=scratch)
         correction /= total
         gamma += correction
     return gamma
@@ -283,10 +312,15 @@ def sinkhorn(
     b = target.weights
     eps = config.resolve_epsilon(C)
     gamma, iters, converged = _sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
+    # One plan-sized scratch serves the rounding, <gamma, C> and the entropy.
+    # It is laid out as gamma, which is how numpy lays out gamma * C, so the
+    # cost sums in the same order; the entropy reads the same memory in C
+    # order.
+    scratch = np.empty_like(gamma)
     if converged:
-        gamma = _round_to_feasible(gamma, a, b)
-    value_cost = float(np.sum(gamma * C))
-    value_reg = value_cost - eps * entropy(gamma)
+        gamma = _round_to_feasible(gamma, a, b, scratch)
+    value_cost = float(np.sum(np.multiply(gamma, C, out=scratch)))
+    value_reg = value_cost - eps * _entropy(gamma, scratch.ravel(order="K").reshape(gamma.shape))
     return TransportPlan(
         gamma=gamma,
         value_cost=value_cost,
@@ -507,7 +541,10 @@ def ot_value_and_point_grads(
         # Pairs at (or below) the distance floor have no defined direction;
         # they contribute the zero subgradient instead of a floored quotient.
         distances = cost.entries
-        weights = np.where(distances > _DISTANCE_FLOOR, gamma / np.maximum(distances, _DISTANCE_FLOOR), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = gamma / distances
+        if distances.min() <= _DISTANCE_FLOOR:
+            weights[distances <= _DISTANCE_FLOOR] = 0.0
         grad_x = weights.sum(axis=1)[:, None] * X - weights @ Y
         grad_y = weights.sum(axis=0)[:, None] * Y - weights.T @ X
     return plan.value_regularized, grad_x, grad_y

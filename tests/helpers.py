@@ -59,30 +59,19 @@ def probe_accuracy(x_train, y_train, x_eval, y_eval):
     return float((preds == y_eval.astype(bool)).mean())
 
 
+def _blocks(layout, buf):
+    """buf split into its weight and bias blocks, in layout order: each layer's
+    weight (row-major, flattened), then its bias, as views into buf."""
+    cuts = np.flatnonzero(np.diff(layout.is_weight[: buf.size])) + 1
+    return np.split(buf, cuts)
+
+
 def model_arrays(params):
-    out = []
-    for comp in (params.featurizer, params.classifier):
-        for layer in comp:
-            out.append(layer.weight)
-            out.append(layer.bias)
-    if params.domain_head is not None:
-        for layer in params.domain_head:
-            out.append(layer.weight)
-            out.append(layer.bias)
-    return out
+    return _blocks(params.layout, params.flat)
 
 
 def grads_arrays(grads, include_head=False):
-    out = []
-    for comp in (grads.featurizer, grads.classifier):
-        for gw, gb in comp:
-            out.append(gw)
-            out.append(gb)
-    if include_head and grads.domain_head is not None:
-        for gw, gb in grads.domain_head:
-            out.append(gw)
-            out.append(gb)
-    return out
+    return _blocks(grads.layout, grads.flat if include_head else grads.flat[: grads.layout.head_start])
 
 
 def params_equal(a_layers, b_layers):

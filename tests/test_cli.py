@@ -1,14 +1,22 @@
 """CLI surface: subcommands, exit codes, config snapshots, flag handling,
 and byte-identical reruns."""
 
+import argparse
+import contextlib
+import io
 import json
+import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cap_training_solver_at_one_iteration, record_blas_threads
-from otda.cli import run
+from otda.cli import _apply_config_file, build_parser, run
+from otda.errors import ConfigurationError
 from otda.da_train import load_report
 from otda.eval_report import emit_tables
 
@@ -178,6 +186,61 @@ class TestExitCodes:
         assert code == 1
         assert payload["error"] == "ConfigurationError"
         assert "OTDA_THREADS" in payload["message"]
+
+
+def _train_flags():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in commands.choices["train"]._actions if a.dest not in ("help", "config")}
+
+
+_TRAIN_FLAGS = _train_flags()
+_REJECTED = object()
+_config_values = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.integers().map(str) | st.floats().map(str) | st.lists(st.integers(), max_size=2)
+    | st.sampled_from(["erm", "ot", "dann", "euclidean", "squared", " 3", "1e-3", "-inf", "1_0"])
+)
+
+
+class TestConfigFileParsing:
+    @settings(max_examples=200, deadline=None)
+    @given(dest=st.sampled_from(sorted(_TRAIN_FLAGS)), hyphens=st.booleans(), value=_config_values)
+    def test_value_is_what_its_flag_makes_of_it(self, dest, hyphens, value):
+        # {"key": value} in a config file ends as --key=<str(value)> ends on
+        # the command line: the same value, or ConfigurationError and exit 1.
+        # A switch takes only true or false; null keeps a flag whose default
+        # is null.
+        action = _TRAIN_FLAGS[dest]
+        parser = build_parser()
+        argv = ["train", "--data", "d", "--out", "o"]
+        if action.nargs == 0:
+            expected = value if isinstance(value, bool) else _REJECTED
+        elif value is None and action.default is None:
+            expected = None
+        else:
+            try:
+                expected = getattr(parser.parse_args(argv + [f"{action.option_strings[0]}={value}"]), dest)
+            except ConfigurationError:
+                expected = _REJECTED
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({dest.replace("_", "-") if hyphens else dest: value}))
+            args = parser.parse_args(argv + ["--config", str(path)])
+            try:
+                _apply_config_file(args, parser)
+                got = getattr(args, dest)
+            except ConfigurationError:
+                got = _REJECTED
+            if expected is _REJECTED:
+                assert got is _REJECTED
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    assert run(argv + ["--config", str(path)]) == 1
+                assert json.loads(stderr.getvalue())["error"] == "ConfigurationError"
+            elif isinstance(expected, float) and math.isnan(expected):
+                assert isinstance(got, float) and math.isnan(got)
+            else:
+                assert got == expected and type(got) is type(expected)
 
 
 class TestBlasScope:

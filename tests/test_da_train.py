@@ -181,9 +181,9 @@ class TestDannStep:
         features_t, trace_t = forward_features(params, xt)
         stacked = np.vstack([features_s, features_t])
         targets = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
-        head_out, inputs, preacts = _head_forward(params.domain_head, stacked)
+        head_out, inputs = _head_forward(params.domain_head, stacked)
         _, dhead = binary_cross_entropy_with_logits(head_out, targets)
-        _, dstacked = _head_backward(params.domain_head, inputs, preacts, dhead)
+        _, dstacked = _head_backward(params.domain_head, inputs, dhead)
 
         base = backward(params, trace_s, None, dlogits)
         unreversed = backward(params, trace_s, dstacked[: len(xs)], np.zeros_like(dlogits))

@@ -184,6 +184,42 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match="line 3"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1,train,0,abc,1.0", "could not convert string to float: 'abc'"),
+            ("1,train,0,nan,1.0", "non-finite feature value"),
+            ("1,train,0,0.5,-inf", "non-finite feature value"),
+            ("1,holdout,0,0.5,1.0", "unknown split 'holdout'"),
+            ("1.5,train,0,0.5,1.0", "invalid literal for int"),
+            ("99999999999999999999,train,0,0.5,1.0", "Python int too large"),
+            ("1,train,2,0.5,1.0", "label must be 0 or 1, got 2"),
+            ("1,train,0,0.5", "expected 5 fields, got 4"),
+        ],
+        ids=["non-numeric", "nan", "inf", "split", "domain", "domain-overflow", "label", "short-row"],
+    )
+    @pytest.mark.parametrize("good_lines", [1, 300])
+    def test_rejection_names_the_first_bad_line(self, tmp_path, bad, message, good_lines):
+        # a later line is bad too, in another way; 300 good lines put the
+        # first bad one past load's first block of lines
+        later = "1,train,1,0.5" if bad != "1,train,0,0.5" else "1,train,0,x,1.0"
+        path = tmp_path / "bad.csv"
+        good = "1,train,0,0.5,1.0\n" * good_lines
+        path.write_text(f"domain_id,split,label,f0,f1\n{good}{bad}\n2,val,1,0.1,0.2\n{later}\n")
+        with pytest.raises(ParseError, match=f"line {good_lines + 2}: {message}"):
+            load(path)
+
+    def test_feature_fields_parse_as_float_does(self, tmp_path):
+        # underscores, blanks, signs and non-ASCII digits, as float() reads them
+        fields = [" 1.5 ", "1_000", "+.5e-3", "\u0661\u0662", "-0", "1e-400"]
+        path = tmp_path / "odd.csv"
+        header = ",".join(f"f{j}" for j in range(len(fields)))
+        path.write_text(f"domain_id,split,label,{header}\n" + "".join(
+            f"{dom},{split},0,{','.join(fields)}\n" for dom, split in ((1, "train"), (2, "val"), (3, "test"))
+        ))
+        loaded = load(path)
+        assert loaded.features.tobytes() == np.array([[float(v) for v in fields]] * 3).tobytes()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("domain,split,label,f0\n")

@@ -124,7 +124,7 @@ class TestNormalizationKernels:
             assert g.tobytes() == e.tobytes()
         y, scale, floored = expected
         dy = dy * (y > 0)
-        assert _norm_backward(dy, y, scale, floored).tobytes() == textbook_norm_backward(dy, y, scale, floored).tobytes()
+        assert _norm_backward(dy.copy(), y, scale, floored).tobytes() == textbook_norm_backward(dy, y, scale, floored).tobytes()
 
     def test_floored_rows_match_textbook_bytes(self):
         rng = np.random.default_rng(18)
@@ -135,7 +135,7 @@ class TestNormalizationKernels:
         assert floored[:, 0].tolist() == [False, True, False, False, True, False]
         assert y.tobytes() == textbook_normalize_rows(z)[0].tobytes()
         dy = rng.standard_normal((6, 9))
-        assert _norm_backward(dy, y, scale, floored).tobytes() == textbook_norm_backward(dy, y, scale, floored).tobytes()
+        assert _norm_backward(dy.copy(), y, scale, floored).tobytes() == textbook_norm_backward(dy, y, scale, floored).tobytes()
 
 
 class TestForwardClassifier:
@@ -187,7 +187,92 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((2, 2)), np.array([0, 2]))
 
 
+def reference_forward_features(params, x):
+    """forward_features as it was before it normalized in place."""
+    normalized = []
+    for layer in params.featurizer:
+        y, _, _ = textbook_normalize_rows(x @ layer.weight + layer.bias)
+        normalized.append(y)
+        x = np.maximum(y, 0.0)
+    return x, normalized
+
+
+def reference_backward(params, trace, feature_grads, logit_grads):
+    """backward as it was before it worked in place, as a flat gradient
+    buffer: the classifier's forward pass recomputed, its ReLU masks taken
+    from the pre-activations, the feature gradient summed from zeros, and a
+    fresh array for every intermediate."""
+    flat = np.zeros(params.layout.head_start)
+    featurizer, classifier, _ = params.layout.views(flat)
+    dfeatures = np.zeros_like(trace.features)
+    if logit_grads is not None:
+        inputs, preacts, out = [], [], trace.features
+        for layer in params.classifier:
+            inputs.append(out)
+            preacts.append(out @ layer.weight + layer.bias)
+            out = np.maximum(preacts[-1], 0.0)
+        grad = logit_grads
+        last = len(params.classifier) - 1
+        for i in range(last, -1, -1):
+            if i != last:
+                grad = grad * (preacts[i] > 0)
+            np.matmul(inputs[i].T, grad, out=classifier[i].weight)
+            np.add.reduce(grad, axis=0, out=classifier[i].bias)
+            grad = grad @ params.classifier[i].weight.T
+        dfeatures += grad
+    if feature_grads is not None:
+        dfeatures += feature_grads
+    grad = dfeatures
+    for i in range(len(params.featurizer) - 1, -1, -1):
+        dy = grad * (trace.normalized[i] > 0)
+        dz = textbook_norm_backward(dy, trace.normalized[i], trace.scales[i], trace.floored[i])
+        np.matmul(trace.inputs[i].T, dz, out=featurizer[i].weight)
+        np.add.reduce(dz, axis=0, out=featurizer[i].bias)
+        grad = dz @ params.featurizer[i].weight.T
+    return flat
+
+
+@st.composite
+def backward_cases(draw):
+    """(params, inputs, feature grads, logit grads): zero input rows stay
+    constant through every block, so they sit at the variance floor; the
+    upstream gradients (either, both or none) hold -0.0 entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = tiny_model(seed=draw(st.integers(0, 3)), domain_head=draw(st.booleans()))
+    n = draw(st.integers(1, 12))
+    x = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3, 2)
+    x[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    negative_zeros = draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def upstream(shape):
+        g = rng.standard_normal(shape)
+        g[rng.random(shape) < negative_zeros] = -0.0
+        return g
+
+    terms = draw(st.sampled_from(["features", "logits", "both", "neither"]))
+    feature_grads = upstream((n, params.feature_dim)) if terms in ("features", "both") else None
+    logit_grads = upstream((n, params.num_classes)) if terms in ("logits", "both") else None
+    return params, x, feature_grads, logit_grads
+
+
 class TestBackward:
+    @settings(max_examples=200, deadline=None)
+    @given(case=backward_cases())
+    def test_matches_reference_bytes(self, case):
+        params, x, feature_grads, logit_grads = case
+        features, trace = forward_features(params, x)
+        ref_features, ref_normalized = reference_forward_features(params, x)
+        assert features.tobytes() == ref_features.tobytes()
+        assert [y.tobytes() for y in trace.normalized] == [y.tobytes() for y in ref_normalized]
+        upstream = [g.copy() for g in (feature_grads, logit_grads) if g is not None]
+        traced = [a.copy() for a in (*trace.inputs, *trace.normalized, trace.features)]
+        grads = backward(params, trace, feature_grads, logit_grads)
+        assert grads.flat.tobytes() == reference_backward(params, trace, feature_grads, logit_grads).tobytes()
+        # backward writes only into buffers of its own
+        after = [g for g in (feature_grads, logit_grads) if g is not None]
+        assert [g.tobytes() for g in after] == [g.tobytes() for g in upstream]
+        assert [a.tobytes() for a in (*trace.inputs, *trace.normalized, trace.features)] == [a.tobytes() for a in traced]
+
     def test_zero_upstream_zero_grads(self):
         params = tiny_model(seed=8)
         x = np.random.default_rng(8).standard_normal((4, 4))
@@ -324,7 +409,8 @@ class TestSgdStep:
 class TestFlatBuffer:
     def test_layers_view_one_buffer_in_layout_order(self):
         params = tiny_model(seed=21, domain_head=True)
-        assert params.flat.tobytes() == b"".join(a.tobytes() for a in model_arrays(params))
+        layers = params.featurizer + params.classifier + params.domain_head
+        assert params.flat.tobytes() == b"".join(a.tobytes() for layer in layers for a in layer)
         copied = params.copy()
         for model in (params, copied, pickle.loads(pickle.dumps(params))):
             for layer in model.featurizer + model.classifier + model.domain_head:

@@ -415,6 +415,72 @@ class TestSinkhorn:
             assert scaled.value_cost == pytest.approx(base.value_cost * scale ** power, rel=1e-8)
 
 
+def reference_round_to_feasible(gamma, a, b):
+    """_round_to_feasible as it was before it took a scratch buffer."""
+    rows = gamma.sum(axis=1)
+    gamma *= np.minimum(1.0, a / np.where(rows > 0, rows, 1.0))[:, None]
+    cols = gamma.sum(axis=0)
+    gamma *= np.minimum(1.0, b / np.where(cols > 0, cols, 1.0))[None, :]
+    missing_a = np.maximum(a - gamma.sum(axis=1), 0.0)
+    missing_b = np.maximum(b - gamma.sum(axis=0), 0.0)
+    total = missing_a.sum()
+    if total > 0:
+        gamma += np.outer(missing_a, missing_b) / total
+    return gamma
+
+
+def reference_entropy(gamma):
+    """entropy as it was before it shared a scratch: the unmasked sum for
+    positive plans, after a scan for the minimum."""
+    if gamma.size and gamma.min() > 0:
+        flat = gamma.reshape(-1)
+        return float(-np.sum(flat * np.log(flat)))
+    positive = gamma[gamma > 0]
+    return float(-np.sum(positive * np.log(positive)))
+
+
+@st.composite
+def solver_outputs(draw):
+    """(gamma, C, a, b, converged) as the kernel could hand them to sinkhorn's
+    finish: a near-feasible plan with zero entries, and zero rows and columns
+    at zero-weight atoms. A transposed cost makes an F-ordered plan; a
+    transposed cost with zero weights leaves the plan in C order."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.2]))
+    a, b = (rng.random(k) * (rng.random(k) >= zero_share) for k in (n, m))
+    a[0] = b[0] = 1.0
+    a, b = a / a.sum(), b / b.sum()
+    gamma = np.outer(a, b) * (1.0 + draw(st.sampled_from([0.0, 1e-7, 1e-2])) * rng.standard_normal((n, m)))
+    gamma[rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    C = rng.random((n, m)) * 10.0 ** rng.uniform(-3, 3)
+    layout = draw(st.sampled_from(["C", "transposed", "transposed cost"]))
+    if layout != "C":
+        C = np.asfortranarray(C)
+    if layout == "transposed":
+        gamma = np.asfortranarray(gamma)
+    return np.maximum(gamma, 0.0), C, a, b, draw(st.booleans())
+
+
+class TestSinkhornFinish:
+    @settings(max_examples=300, deadline=None)
+    @given(case=solver_outputs())
+    def test_matches_reference_bytes(self, case):
+        gamma, C, a, b, converged = case
+        src = DiscreteDistribution(np.zeros((len(a), 1)), a)
+        tgt = DiscreteDistribution(np.zeros((len(b), 1)), b)
+        config = SinkhornConfig()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot_core, "_sinkhorn_stabilized", lambda *args: (gamma.copy(order="K"), 7, converged))
+            plan = sinkhorn(CostMatrix(C, EUCLIDEAN), src, tgt, config)
+        expected = reference_round_to_feasible(gamma.copy(order="K"), a, b) if converged else gamma
+        value_cost = float(np.sum(expected * C))
+        value_regularized = value_cost - config.resolve_epsilon(C) * reference_entropy(expected)
+        assert plan.gamma.tobytes() == expected.tobytes()
+        assert np.float64(plan.value_cost).tobytes() == np.float64(value_cost).tobytes()
+        assert np.float64(plan.value_regularized).tobytes() == np.float64(value_regularized).tobytes()
+
+
 class TestMarginalResidual:
     def test_permutation_plan_exact(self):
         src = DiscreteDistribution.uniform(np.zeros((3, 1)))
@@ -486,6 +552,27 @@ class TestPointGradients:
         _, moved, _ = ot_value_and_point_grads(X, Y + shift, config, SQUARED_EUCLIDEAN)
         observed = moved.mean(axis=0) - base.mean(axis=0)
         assert np.abs(observed - (-2.0 * shift / 6.0)).max() <= 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_cloud_pairs(), _fractions, st.data())
+    def test_euclidean_matches_reference_bytes(self, pair, fraction, data):
+        # coincident points put pairs at zero distance, where the gradient
+        # takes the zero subgradient
+        X, Y = pair
+        copies = data.draw(st.lists(st.tuples(st.integers(0, len(X) - 1), st.integers(0, len(Y) - 1)), max_size=3))
+        for i, j in copies:
+            Y[j] = X[i]
+        src, tgt = DiscreteDistribution.uniform(X), DiscreteDistribution.uniform(Y)
+        cost = cost_matrix(src, tgt)
+        config = tight_config(blurred_epsilon(cost, fraction), tol=1e-7)
+        value, grad_x, grad_y = ot_value_and_point_grads(X, Y, config, EUCLIDEAN)
+        plan = sinkhorn(cost, src, tgt, config)
+        # the quotient as it was computed before the floor was checked first
+        distances = cost.entries
+        weights = np.where(distances > 1e-12, plan.gamma / np.maximum(distances, 1e-12), 0.0)
+        assert value == plan.value_regularized
+        assert grad_x.tobytes() == (weights.sum(axis=1)[:, None] * X - weights @ Y).tobytes()
+        assert grad_y.tobytes() == (weights.sum(axis=0)[:, None] * Y - weights.T @ X).tobytes()
 
     def test_nonconvergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(16)
