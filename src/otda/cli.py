@@ -31,7 +31,7 @@ from .da_train import (
     write_epoch_csv,
 )
 from .errors import ConfigurationError, NumericError, OtdaError, ParseError
-from .eval_report import line_plot_svg, pca_project, roc_auc, subcluster_breakdown, write_breakdown_table
+from .eval_report import line_plot_svg, pca_project, roc_auc, subcluster_breakdown, write_breakdown_table, write_json
 from .nn_core import OptimizerConfig, forward_classifier, forward_features, save_checkpoint
 from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig
 
@@ -167,11 +167,6 @@ def _load_dataset(path_str: str, swap: bool = False) -> data_gen.DomainDataset:
     return data_gen.swap_val_test(dataset) if swap else dataset
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _snapshot_from_args(args: argparse.Namespace, extra: dict | None = None) -> dict:
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     payload["command"] = args.command
@@ -186,15 +181,11 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
     write_epoch_csv(report, out / "tables" / f"epochs_{run_id}.csv")
     save_checkpoint(params, out / f"checkpoint_{run_id}.json")
     metrics = {"run_id": run_id, "selected_epoch": report.selected_epoch, "final": report.final}
-    _write_json(out / "metrics.json", metrics)
-    epochs = [r.epoch for r in report.epochs]
+    write_json(out / "metrics.json", metrics)
+    series = eval_report.curve_series(report.epochs)
+    series.append(("test accuracy", series[0][1], [r.test_accuracy for r in report.epochs]))
     line_plot_svg(
-        [
-            ("CE loss", epochs, [r.ce_loss for r in report.epochs]),
-            ("alignment loss", epochs, [r.aux_loss for r in report.epochs]),
-            ("validation accuracy", epochs, [r.val_accuracy for r in report.epochs]),
-            ("test accuracy", epochs, [r.test_accuracy for r in report.epochs]),
-        ],
+        series,
         f"training curves ({run_id})",
         "epoch",
         "value",
@@ -232,7 +223,7 @@ def _cmd_gen_data(args) -> int:
     dataset = data_gen.generate(config)
     out.mkdir(parents=True, exist_ok=True)
     data_gen.save(dataset, out / "dataset.csv")
-    _write_json(out / "config.json", _snapshot_from_args(args))
+    write_json(out / "config.json", _snapshot_from_args(args))
     print(f"wrote {out / 'dataset.csv'} ({dataset.features.shape[0]} samples)")
     return 0
 
@@ -242,7 +233,7 @@ def _cmd_train(args) -> int:
     config = _train_config(args)
     report, params = train_with_model(dataset, config)
     out = Path(args.out)
-    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     _emit_run_outputs(out, report, params, dataset)
     final = report.final
     print(
@@ -262,8 +253,8 @@ def _cmd_sweep(args) -> int:
     config = _train_config(args)
     sweep = alpha_sweep(dataset, config, alphas, seeds)
     out = Path(args.out)
-    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
-    _write_json(out / "sweep.json", sweep.to_json_dict())
+    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    write_json(out / "sweep.json", sweep.to_json_dict())
     eval_report.write_alpha_table(
         sweep.alphas,
         list(zip(sweep.val_means, sweep.val_stds)),
@@ -286,13 +277,13 @@ def _cmd_posthoc(args) -> int:
         dataset, params, epsilon=epsilon, metric=_METRIC_FLAGS[args.metric]
     )
     out = Path(args.out)
-    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     summary = posthoc_align.posthoc_summary(results)
-    _write_json(out / "posthoc.json", summary)
+    write_json(out / "posthoc.json", summary)
     rows = [["split", "pre_accuracy", "post_accuracy"]]
     for split in ("val", "test"):
         rows.append([split, f"{summary[split]['pre_accuracy']:.6f}", f"{summary[split]['post_accuracy']:.6f}"])
-    eval_report._write_csv(out / "tables" / "posthoc.csv", rows)
+    eval_report.write_csv(out / "tables" / "posthoc.csv", rows)
     save_report(report, out / f"report_{report.run_id()}.json")
     print(
         "posthoc test accuracy: "
@@ -304,19 +295,19 @@ def _cmd_posthoc(args) -> int:
 def _cmd_swap_eval(args) -> int:
     dataset = _load_dataset(args.data, swap=True)
     seeds = [args.seed + i for i in range(args.seeds)]
-    out = Path(args.out)
     config = _train_config(args)
-    _write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     stats = {}
     reports = []
     for method in ("erm", "ot", "dann"):
         runs = run_seeds(dataset, replace(config, method=method), seeds)
         reports.extend(runs)
         stats[method] = eval_report.method_stats(runs)
+    out = Path(args.out)
+    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
     eval_report.write_method_table(stats, out / "tables" / "swap_comparison.csv")
     for report in reports:
         save_report(report, out / f"report_{report.run_id()}.json")
-    _write_json(out / "swap.json", stats)
+    write_json(out / "swap.json", stats)
     print(
         "swapped-split test accuracy: "
         + ", ".join(f"{m}={stats[m]['test_mean']:.3f}" for m in ("erm", "ot", "dann"))

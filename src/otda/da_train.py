@@ -28,7 +28,7 @@ import numpy as np
 
 from .data_gen import DomainDataset
 from .errors import ConfigurationError, ContractViolationError, ParseError, SinkhornConvergenceError
-from .eval_report import accuracy, mean_std, roc_auc, softmax_scores
+from .eval_report import accuracy, mean_std, roc_auc, softmax_scores, write_csv, write_json
 from .nn_core import (
     ModelParams,
     OptimizerConfig,
@@ -64,11 +64,7 @@ class TrainConfig:
         default_factory=lambda: SinkhornConfig(epsilon=0.1, max_iterations=20000)
     )
     seed: int = 0
-    early_stopping: bool = True
     metric: str = EUCLIDEAN
-    feature_widths: tuple = (64, 64, 32)
-    classifier_widths: tuple = ()
-    domain_head_widths: tuple = (16,)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -81,8 +77,7 @@ class TrainConfig:
             raise ConfigurationError(f"unknown metric {self.metric!r}")
 
     def snapshot(self) -> dict:
-        # widths become lists, so a snapshot equals its JSON round trip
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return asdict(self)
 
 
 @dataclass
@@ -113,12 +108,11 @@ class RunReport:
     def run_id(self) -> str:
         return f"{self.config['method']}_a{self.config['alpha']:g}_s{self.seed}"
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         payload = asdict(self)
-        if not include_timing:
-            # timing is machine noise; serialized reports stay reproducible
-            for record in payload["epochs"]:
-                record["wall_seconds"] = 0.0
+        # timing is machine noise; serialized reports stay reproducible
+        for record in payload["epochs"]:
+            record["wall_seconds"] = 0.0
         return payload
 
     @classmethod
@@ -274,8 +268,7 @@ def _one_blas_thread():
 @_one_blas_thread()
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     """Run the configured method and return (report, params at the selected
-    epoch). Epoch selection maximizes validation accuracy (first maximum)
-    unless early stopping is disabled, in which case the last epoch is kept.
+    epoch). The selected epoch is the first with the best validation accuracy.
     """
     x_train, y_train = dataset.split_arrays("train")
     x_val, y_val = dataset.split_arrays("val")
@@ -286,10 +279,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
 
     params = init_model(
         input_dim=dataset.dim,
-        feature_widths=config.feature_widths,
-        num_classes=2,
-        classifier_widths=config.classifier_widths,
-        domain_head_widths=config.domain_head_widths if config.method == "dann" else None,
+        domain_head_widths=(16,) if config.method == "dann" else None,
         seed=config.seed,
     )
     rng = np.random.default_rng([int(config.seed), 2])
@@ -334,10 +324,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
         finals.append({"val": val_metrics, "test": test_metrics})
         snapshots.append(params)  # sgd_step never mutates its input
 
-    if config.early_stopping:
-        selected = int(np.argmax([r.val_accuracy for r in records]))
-    else:
-        selected = len(records) - 1
+    selected = int(np.argmax([r.val_accuracy for r in records]))
     best_params = snapshots[selected]
     final = dict(finals[selected])
     final["train"] = evaluate_split(best_params, x_train, y_train)
@@ -448,7 +435,14 @@ class SweepResult:
         }
 
 
-def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds=None) -> SweepResult:
+def _seed_list(seeds) -> list:
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ConfigurationError("need at least one seed")
+    return seeds
+
+
+def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds) -> SweepResult:
     """Train per (alpha, seed) cell and aggregate mean/std accuracies.
 
     The selected alpha maximizes mean validation accuracy (first maximum in
@@ -458,11 +452,7 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds=
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ConfigurationError("need at least one alpha value")
-    if seeds is None:
-        seeds = [base_config.seed + i for i in range(4)]
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
+    seeds = _seed_list(seeds)
 
     if base_config.method == "erm":
         raise ConfigurationError("alpha sweep needs a method with an alignment term (ot or dann)")
@@ -479,12 +469,11 @@ def run_seeds(dataset: DomainDataset, config: TrainConfig, seeds, keep_params: b
     """Train one configuration across several seeds; returns a list of
     RunReports, or (report, params) pairs when keep_params is set. Seeds run
     in parallel worker processes when OTDA_THREADS is above 1."""
-    return _train_cells(dataset, [replace(config, seed=int(seed)) for seed in seeds], keep_params)
+    return _train_cells(dataset, [replace(config, seed=seed) for seed in _seed_list(seeds)], keep_params)
 
 
-def save_report(report: RunReport, path, include_timing: bool = False) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(report.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n")
+def save_report(report: RunReport, path) -> Path:
+    return write_json(path, report.to_json_dict())
 
 
 def load_report(path) -> RunReport:
@@ -494,12 +483,10 @@ def load_report(path) -> RunReport:
         raise ParseError(f"{path}: not a run report: {exc}") from exc
 
 
-def write_epoch_csv(report: RunReport, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["epoch,ce_loss,aux_loss,val_accuracy,test_accuracy"]
+def write_epoch_csv(report: RunReport, path) -> Path:
+    rows = [["epoch", "ce_loss", "aux_loss", "val_accuracy", "test_accuracy"]]
     for r in report.epochs:
-        lines.append(
-            f"{r.epoch},{r.ce_loss:.9g},{r.aux_loss:.9g},{r.val_accuracy:.9g},{r.test_accuracy:.9g}"
+        rows.append(
+            [r.epoch, f"{r.ce_loss:.9g}", f"{r.aux_loss:.9g}", f"{r.val_accuracy:.9g}", f"{r.test_accuracy:.9g}"]
         )
-    path.write_text("\n".join(lines) + "\n")
+    return write_csv(path, rows)

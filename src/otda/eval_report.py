@@ -5,6 +5,7 @@ float formatting, sorted keys, hand-written SVG with no timestamps.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 
 @dataclass(frozen=True)
 class BreakdownCell:
-    domain_id: int | None
+    domain_id: int
     tag: str
     count: int
     accuracy: float
@@ -85,14 +86,13 @@ def subcluster_breakdown(
     predictions: np.ndarray,
     labels: np.ndarray,
     subcluster_tags,
-    domain_ids=None,
-    masked_tag: str | None = None,
+    domain_ids,
+    masked_tag: str,
 ) -> list:
     """Accuracy per (domain, subcluster) cell; cells partition the inputs.
 
-    domain_ids may be omitted, in which case cells are per tag only. The cell
-    matching masked_tag is flagged so reports can highlight the phenotype the
-    training split never saw.
+    The cells tagged masked_tag are flagged so reports can highlight the
+    phenotype the training split never saw.
     """
     if subcluster_tags is None:
         raise FeatureUnavailableError("subcluster tags are not available for this dataset")
@@ -101,12 +101,7 @@ def subcluster_breakdown(
     tags = np.asarray(subcluster_tags)
     if predictions.shape != labels.shape or tags.shape != labels.shape:
         raise ContractViolationError("predictions, labels and tags must share one length")
-    if domain_ids is None:
-        domains = np.zeros(labels.shape, dtype=int)
-        keyed = False
-    else:
-        domains = np.asarray(domain_ids)
-        keyed = True
+    domains = np.asarray(domain_ids)
     correct = predictions == labels
     cells = []
     for dom in sorted(set(domains.tolist())):
@@ -115,7 +110,7 @@ def subcluster_breakdown(
             mask = dom_mask & (tags == tag)
             cells.append(
                 BreakdownCell(
-                    domain_id=int(dom) if keyed else None,
+                    domain_id=int(dom),
                     tag=str(tag),
                     count=int(mask.sum()),
                     accuracy=float(correct[mask].mean()),
@@ -169,61 +164,60 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean:.3f} ({std:.3f})"
 
 
-def _write_csv(path: Path, rows) -> None:
+def write_json(path, payload) -> Path:
+    """Sorted, indented JSON with a final newline; creates parent folders."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return path
+
+
+def write_csv(path, rows) -> Path:
+    """One comma-joined line of str(value)s per row; creates parent folders."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as fh:
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
+    return path
+
+
+def _accuracy_table(columns, val_stats, test_stats, path) -> Path:
+    """Grid of mean (std) accuracies: a row per split, a column per entry of
+    columns; val_stats and test_stats hold one (mean, std) pair per column."""
+    return write_csv(path, [
+        ["metric", *columns],
+        ["validation_accuracy", *(format_mean_std(m, s) for m, s in val_stats)],
+        ["test_accuracy", *(format_mean_std(m, s) for m, s in test_stats)],
+    ])
 
 
 def write_alpha_table(alphas, val_stats, test_stats, path) -> Path:
     """Grid with one column per alpha and mean (std) accuracy entries."""
-    path = Path(path)
-    header = ["metric"] + [f"{a:g}" for a in alphas]
-    rows = [
-        header,
-        ["validation_accuracy"] + [format_mean_std(m, s) for m, s in val_stats],
-        ["test_accuracy"] + [format_mean_std(m, s) for m, s in test_stats],
-    ]
-    _write_csv(path, rows)
-    return path
+    return _accuracy_table([f"{a:g}" for a in alphas], val_stats, test_stats, path)
 
 
 def write_method_table(stats: dict, path) -> Path:
     """stats: method name -> dict with val_mean/val_std/test_mean/test_std."""
-    path = Path(path)
-    methods = list(stats)
-    rows = [
-        ["metric"] + methods,
-        ["validation_accuracy"]
-        + [format_mean_std(stats[m]["val_mean"], stats[m]["val_std"]) for m in methods],
-        ["test_accuracy"]
-        + [format_mean_std(stats[m]["test_mean"], stats[m]["test_std"]) for m in methods],
-    ]
-    _write_csv(path, rows)
-    return path
+    val_stats = [(s["val_mean"], s["val_std"]) for s in stats.values()]
+    test_stats = [(s["test_mean"], s["test_std"]) for s in stats.values()]
+    return _accuracy_table(list(stats), val_stats, test_stats, path)
 
 
 def write_breakdown_table(cells, path) -> Path:
-    path = Path(path)
     rows = [["domain_id", "subcluster", "count", "accuracy", "masked"]]
     for c in cells:
-        rows.append(
-            ["" if c.domain_id is None else c.domain_id, c.tag, c.count, f"{c.accuracy:.6f}", int(c.masked)]
-        )
-    _write_csv(path, rows)
-    return path
+        rows.append([c.domain_id, c.tag, c.count, f"{c.accuracy:.6f}", int(c.masked)])
+    return write_csv(path, rows)
 
 
 def write_embedding_csv(projection, labels, domain_ids, path) -> Path:
-    path = Path(path)
     rows = [["pc1", "pc2", "label", "domain_id"]]
     for i in range(projection.shape[0]):
         rows.append(
             [f"{projection[i, 0]:.9g}", f"{projection[i, 1]:.9g}", int(labels[i]), int(domain_ids[i])]
         )
-    _write_csv(path, rows)
-    return path
+    return write_csv(path, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +229,8 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
+def _ticks(lo: float, hi: float):
+    raw = np.linspace(lo, hi, 5)
     return [float(v) for v in raw]
 
 
@@ -322,6 +314,17 @@ def write_roc_plot(curves: dict, path) -> Path:
     return line_plot_svg(series, "ROC", "false positive rate", "true positive rate", path)
 
 
+def curve_series(epochs) -> list:
+    """(name, xs, ys) series of the per-epoch CE loss, alignment loss and
+    validation accuracy of a run's EpochRecords, for line_plot_svg."""
+    xs = [r.epoch for r in epochs]
+    return [
+        ("CE loss", xs, [r.ce_loss for r in epochs]),
+        ("alignment loss", xs, [r.aux_loss for r in epochs]),
+        ("validation accuracy", xs, [r.val_accuracy for r in epochs]),
+    ]
+
+
 def emit_tables(reports: list, out_dir) -> list:
     """Emit the standard report bundle for a list of RunReports: per-method
     comparison table and one epoch-curve plot per report. Returns the written
@@ -346,15 +349,9 @@ def emit_tables(reports: list, out_dir) -> list:
         seen[run_id] = seen.get(run_id, 0) + 1
         if seen[run_id] > 1:
             run_id = f"{run_id}_{seen[run_id]}"
-        epochs = [r.epoch for r in rep.epochs]
-        series = [
-            ("CE loss", epochs, [r.ce_loss for r in rep.epochs]),
-            ("alignment loss", epochs, [r.aux_loss for r in rep.epochs]),
-            ("validation accuracy", epochs, [r.val_accuracy for r in rep.epochs]),
-        ]
         written.append(
             line_plot_svg(
-                series,
+                curve_series(rep.epochs),
                 f"training curves ({run_id})",
                 "epoch",
                 "value",

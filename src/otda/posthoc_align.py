@@ -86,20 +86,19 @@ def evaluate_posthoc(
     erm_params: ModelParams,
     epsilon: float = DEFAULT_EPSILON,
     metric: str = EUCLIDEAN,
-    max_source_rows: int = MAX_SOURCE_ROWS,
 ) -> dict:
     """Align val and test features onto the training features of a frozen
     erm model and report accuracy before and after alignment per split.
 
-    The source side is capped at max_source_rows rows (a subsample seeded by
+    The source side is capped at MAX_SOURCE_ROWS rows (a subsample seeded by
     SUBSAMPLE_SEED) to bound the transport problem. Returns
     {"val": AlignmentResult, "test": ...}.
     """
     x_train, _ = dataset.split_arrays("train")
     source_features, _ = forward_features(erm_params, x_train)
-    if source_features.shape[0] > max_source_rows:
+    if source_features.shape[0] > MAX_SOURCE_ROWS:
         rng = np.random.default_rng([SUBSAMPLE_SEED, 3])
-        keep = rng.permutation(source_features.shape[0])[:max_source_rows]
+        keep = rng.permutation(source_features.shape[0])[:MAX_SOURCE_ROWS]
         source_features = source_features[np.sort(keep)]
 
     results = {}

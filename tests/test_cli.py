@@ -178,6 +178,16 @@ class TestExitCodes:
         assert "alpha" in payload["message"]
         assert not list(tmp_path.rglob("report_*.json"))
 
+    @pytest.mark.parametrize("command", ["sweep", "swap-eval"])
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_is_config_error(self, data_dir, tmp_path, capsys, command, seeds):
+        out = tmp_path / "s"
+        code = run([command, "--seeds", seeds, "--epochs", "1", "--data", str(data_dir), "--out", str(out)])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert payload["error"] == "ConfigurationError"
+        assert not out.exists()
+
     def test_bad_worker_count_is_config_error(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OTDA_THREADS", "abc")
         code = run(["sweep", "--alphas", "0.1", "--seeds", "1", "--epochs", "1",
@@ -330,10 +340,21 @@ class TestOtherCommands:
         assert run(small_train_args(data_dir, run_dir)) == 0
         path = run_dir / "report_ot_a0.05_s0.json"
         payload = json.loads(path.read_text())
-        payload["config"]["sinkhorn"]["log_domain"] = True  # written before the switch was removed
+        fresh = emit_tables([load_report(path)], tmp_path / "fresh")
+        # keys of reports written before the switch and the fields were removed
+        removed = {"early_stopping": True, "feature_widths": [64, 64, 32], "classifier_widths": [],
+                   "domain_head_widths": [16]}
+        payload["config"]["sinkhorn"]["log_domain"] = True
+        payload["config"].update(removed)
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        assert load_report(path).config["sinkhorn"]["log_domain"] is True
-        assert run(["report", "--data", str(run_dir), "--out", str(tmp_path / "rep")]) == 0
+        config = load_report(path).config
+        assert config["sinkhorn"]["log_domain"] is True
+        assert {key: config[key] for key in removed} == removed
+        out = tmp_path / "rep"
+        assert run(["report", "--data", str(run_dir), "--out", str(out)]) == 0
+        assert [(out / p.relative_to(tmp_path / "fresh")).read_bytes() for p in fresh] == [
+            p.read_bytes() for p in fresh
+        ]
 
     def test_report_without_reports_is_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -241,10 +241,6 @@ class TestTrain:
         best = max(r.val_accuracy for r in report.epochs)
         assert report.epochs[report.selected_epoch].val_accuracy == best
 
-    def test_early_stopping_disabled_keeps_last(self, tiny_ds):
-        report = train(tiny_ds, small_config(method="erm", epochs=4, early_stopping=False))
-        assert report.selected_epoch == len(report.epochs) - 1
-
     def test_full_run_erm_degeneracy(self, tiny_ds):
         erm = train_with_model(tiny_ds, small_config(method="erm", alpha=0.0, epochs=3))[1]
         ot = train_with_model(tiny_ds, small_config(method="ot", alpha=0.0, epochs=3))[1]
@@ -295,6 +291,13 @@ class TestAlphaSweep:
     def test_erm_rejected(self, tiny_ds):
         with pytest.raises(ConfigurationError):
             alpha_sweep(tiny_ds, small_config(method="erm"), [0.1], seeds=[0])
+
+    def test_empty_seed_list_rejected(self, tiny_ds):
+        config = small_config(method="ot")
+        with pytest.raises(ConfigurationError, match="seed"):
+            alpha_sweep(tiny_ds, config, [0.1], [])
+        with pytest.raises(ConfigurationError, match="seed"):
+            run_seeds(tiny_ds, config, [])
 
     def test_parallel_workers_match_sequential(self, tiny_ds, monkeypatch):
         config = small_config(method="ot", epochs=1)
@@ -413,13 +416,12 @@ _io_settings = settings(max_examples=30, deadline=None, suppress_health_check=[H
 
 class TestReportJsonRoundTrip:
     @_io_settings
-    @given(report=run_reports(), include_timing=st.booleans())
-    def test_save_then_load_keeps_the_json_dict(self, tmp_path, report, include_timing):
-        save_report(report, tmp_path / "r.json", include_timing)
+    @given(report=run_reports())
+    def test_save_then_load_keeps_the_json_dict(self, tmp_path, report):
+        save_report(report, tmp_path / "r.json")
         loaded = load_report(tmp_path / "r.json")
-        assert loaded.to_json_dict(include_timing) == report.to_json_dict(include_timing)
-        if not include_timing:
-            assert all(e.wall_seconds == 0.0 for e in loaded.epochs)
+        assert loaded.to_json_dict() == report.to_json_dict()
+        assert all(e.wall_seconds == 0.0 for e in loaded.epochs)
 
     @_io_settings
     @given(report=run_reports())

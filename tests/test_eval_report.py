@@ -99,7 +99,7 @@ class TestSubclusterBreakdown:
         labels = np.array([0, 0, 1, 1, 1, 0])
         tags = np.array(["a", "a", "a", "b", "b", "b"])
         preds = np.zeros(6, dtype=int)
-        cells = subcluster_breakdown(preds, labels, tags)
+        cells = subcluster_breakdown(preds, labels, tags, np.ones(6, dtype=int), "m")
         by_tag = {c.tag: c for c in cells}
         assert by_tag["a"].accuracy == pytest.approx(2 / 3)
         assert by_tag["b"].accuracy == pytest.approx(1 / 3)
@@ -111,20 +111,20 @@ class TestSubclusterBreakdown:
         labels = rng.integers(0, 2, n)
         tags = rng.choice(["a", "b", "c"], n)
         domains = rng.choice([1, 2], n)
-        cells = subcluster_breakdown(preds, labels, tags, domains)
+        cells = subcluster_breakdown(preds, labels, tags, domains, "a")
         assert sum(c.count for c in cells) == n
         weighted = sum(c.count * c.accuracy for c in cells) / n
         assert weighted == pytest.approx(float((preds == labels).mean()), abs=1e-12)
 
     def test_masked_flag(self):
         cells = subcluster_breakdown(
-            np.array([0, 0]), np.array([0, 1]), np.array(["m", "x"]), masked_tag="m"
+            np.array([0, 0]), np.array([0, 1]), np.array(["m", "x"]), np.array([1, 1]), masked_tag="m"
         )
         assert {c.tag: c.masked for c in cells} == {"m": True, "x": False}
 
     def test_missing_tags_rejected(self):
         with pytest.raises(FeatureUnavailableError):
-            subcluster_breakdown(np.array([0]), np.array([0]), None)
+            subcluster_breakdown(np.array([0]), np.array([0]), None, np.array([1]), "m")
 
 
 class TestPcaProject:

@@ -4,6 +4,7 @@ frozen-model evaluation semantics."""
 import numpy as np
 import pytest
 
+from otda import posthoc_align
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import TrainConfig, train_with_model
 from otda.errors import ContractViolationError
@@ -92,7 +93,8 @@ class TestEvaluatePosthoc:
         after = float((np.argmax(forward_classifier(params, aligned), axis=1) == y_train).mean())
         assert abs(after - baseline) <= 0.005
 
-    def test_source_subsampling_cap(self, trained):
+    def test_source_subsampling_cap(self, trained, monkeypatch):
         dataset, params = trained
-        results = evaluate_posthoc(dataset, params, max_source_rows=64)
+        monkeypatch.setattr(posthoc_align, "MAX_SOURCE_ROWS", 64)
+        results = evaluate_posthoc(dataset, params)
         assert results["test"].plan.gamma.shape[1] == 64
