@@ -99,9 +99,9 @@ def subcluster_breakdown(
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     tags = np.asarray(subcluster_tags)
-    if predictions.shape != labels.shape or tags.shape != labels.shape:
-        raise ContractViolationError("predictions, labels and tags must share one length")
     domains = np.asarray(domain_ids)
+    if predictions.shape != labels.shape or tags.shape != labels.shape or domains.shape != labels.shape:
+        raise ContractViolationError("predictions, labels, tags and domain ids must share one length")
     correct = predictions == labels
     cells = []
     for dom in sorted(set(domains.tolist())):

@@ -168,27 +168,96 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
     return CostMatrix(entries, metric)
 
 
+# The finish of a solve (the rounding's rank-one correction, <gamma, C> and
+# the entropy) works through one scratch of at most this many entries
+# (512 KB), not through a second plan-sized array. A training plan (at most
+# 128 x 128) is one block.
+_FINISH_BLOCK = 1 << 16
+# np.sum of a contiguous float64 array is a pairwise tree over its memory
+# order: a span of more than this many terms splits at half its length,
+# rounded down to a multiple of 8; a shorter one is a leaf that numpy adds
+# with eight accumulators, which a block never cuts.
+_PAIRWISE_LEAF = 128
+
+
+def _finish_scratch(size):
+    """The scratch for the finish of a plan of `size` entries: one block,
+    or the plan if it is smaller."""
+    return np.empty(min(size, max(_FINISH_BLOCK, _PAIRWISE_LEAF)))
+
+
+def _tree_sum(terms, start, size):
+    """np.sum of the `size` terms from `start` on, bit for bit: a span of
+    numpy's pairwise tree that fits in one block is summed by np.add.reduce,
+    which walks the same subtree, and the spans are added back up the tree.
+    terms(start, stop) returns the terms [start, stop) as a contiguous
+    array."""
+    if size <= max(_FINISH_BLOCK, _PAIRWISE_LEAF):
+        return np.add.reduce(terms(start, start + size))
+    half = size // 2
+    half -= half % 8
+    return _tree_sum(terms, start, half) + _tree_sum(terms, start + half, size - half)
+
+
+def _rectangles(start, stop, width):
+    """The flat C-order span [start, stop) of a 2-D array `width` columns
+    wide, as at most three (rows, cols) slice pairs, in order."""
+    if start == stop:
+        return []
+    r0, c0 = divmod(start, width)
+    r1, c1 = divmod(stop, width)
+    if r0 == r1:
+        return [(slice(r0, r0 + 1), slice(c0, c1))]
+    pieces = []
+    if c0:
+        pieces.append((slice(r0, r0 + 1), slice(c0, width)))
+        r0 += 1
+    if r1 > r0:
+        pieces.append((slice(r0, r1), slice(None)))
+    if c1:
+        pieces.append((slice(r1, r1 + 1), slice(0, c1)))
+    return pieces
+
+
+def _fill(op, scratch, start, stop, *operands):
+    """op(*operands, out=...) over the flat C-order span [start, stop) of
+    the 2-D operands, written in order to the head of scratch, which is
+    returned."""
+    at = 0
+    for rows, cols in _rectangles(start, stop, operands[0].shape[1]):
+        parts = [x[rows, cols] for x in operands]
+        end = at + parts[0].size
+        op(*parts, out=scratch[at:end].reshape(parts[0].shape))
+        at = end
+    return scratch[:at]
+
+
 def entropy(plan) -> float:
     """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0."""
     gamma = np.asarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float)
-    return _entropy(gamma, np.empty(gamma.shape))
+    if gamma.ndim != 2:
+        gamma = gamma.reshape(1, -1)
+    return _entropy(gamma, _finish_scratch(gamma.size))
 
 
 def _entropy(gamma, scratch) -> float:
-    """entropy(gamma), with the terms g log g written to scratch, a C-ordered
-    buffer of gamma's shape that the caller hands over. The terms are summed
-    in C order, which is the order of the masked sum. A zero, negative or NaN
+    """entropy(gamma) for a 2-D gamma, with the terms g log g written block
+    by block to scratch (see _finish_scratch). The terms are summed in C
+    order, which is the order of the masked sum. A zero, negative or NaN
     entry makes the sum NaN; only then is the masked sum taken."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(gamma, out=scratch)
-        np.multiply(gamma, scratch, out=scratch)
-    total = np.sum(scratch.reshape(-1))
+        total = _tree_sum(lambda start, stop: _fill(_xlogx, scratch, start, stop, gamma), 0, gamma.size)
     if not np.isnan(total):
         return float(-total)
     if np.any(gamma < 0):
         raise ContractViolationError("plan entries must be nonnegative")
     positive = gamma[gamma > 0]
     return float(-np.sum(positive * np.log(positive)))
+
+
+def _xlogx(g, out):
+    np.log(g, out=out)
+    return np.multiply(g, out, out=out)
 
 
 def marginal_residual(plan: TransportPlan, source: DiscreteDistribution, target: DiscreteDistribution) -> tuple:
@@ -259,10 +328,10 @@ def _shrink(gamma, sums, target, axis):
 def _round_to_feasible(gamma, a, b, scratch=None):
     """Project an almost-feasible plan onto the transport polytope, in place:
     shrink overfull rows and columns, then spread the leftover mass as a
-    rank-one correction, built in scratch (a buffer of gamma's shape that the
-    caller hands over, or a fresh one when None). The result has exact
-    marginals (to float addition), so its cost can never undercut the
-    unregularized optimum."""
+    rank-one correction, built block by block in scratch (see
+    _finish_scratch; a fresh one when None). The result has exact marginals
+    (to float addition), so its cost can never undercut the unregularized
+    optimum."""
     rows = gamma.sum(axis=1)
     rows_moved = _shrink(gamma, rows, a, axis=1)
     cols = gamma.sum(axis=0)
@@ -275,10 +344,15 @@ def _round_to_feasible(gamma, a, b, scratch=None):
     missing_b = np.maximum(b - cols, 0.0)
     total = missing_a.sum()
     if total > 0:
-        # np.outer's product, written into the scratch
-        correction = np.multiply(missing_a[:, None], missing_b[None, :], out=scratch)
-        correction /= total
-        gamma += correction
+        # np.outer's product over total, added one block at a time
+        if scratch is None:
+            scratch = _finish_scratch(gamma.size)
+        for start in range(0, gamma.size, scratch.size):
+            for i, j in _rectangles(start, min(start + scratch.size, gamma.size), gamma.shape[1]):
+                piece = gamma[i, j]
+                correction = np.multiply(missing_a[i, None], missing_b[j], out=scratch[: piece.size].reshape(piece.shape))
+                correction /= total
+                piece += correction
     return gamma
 
 
@@ -312,15 +386,15 @@ def sinkhorn(
     b = target.weights
     eps = config.resolve_epsilon(C)
     gamma, iters, converged = _sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
-    # One plan-sized scratch serves the rounding, <gamma, C> and the entropy.
-    # It is laid out as gamma, which is how numpy lays out gamma * C, so the
-    # cost sums in the same order; the entropy reads the same memory in C
-    # order.
-    scratch = np.empty_like(gamma)
+    # One block-sized scratch serves the rounding, <gamma, C> and the
+    # entropy. numpy lays gamma * C out as gamma, so the cost sums in
+    # gamma's memory order; the entropy sums in C order.
+    scratch = _finish_scratch(gamma.size)
     if converged:
         gamma = _round_to_feasible(gamma, a, b, scratch)
-    value_cost = float(np.sum(np.multiply(gamma, C, out=scratch)))
-    value_reg = value_cost - eps * _entropy(gamma, scratch.ravel(order="K").reshape(gamma.shape))
+    g, c = (gamma.T, C.T) if gamma.flags.f_contiguous and not gamma.flags.c_contiguous else (gamma, C)
+    value_cost = float(_tree_sum(lambda start, stop: _fill(np.multiply, scratch, start, stop, g, c), 0, g.size))
+    value_reg = value_cost - eps * _entropy(gamma, scratch)
     return TransportPlan(
         gamma=gamma,
         value_cost=value_cost,

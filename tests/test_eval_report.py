@@ -126,6 +126,12 @@ class TestSubclusterBreakdown:
         with pytest.raises(FeatureUnavailableError):
             subcluster_breakdown(np.array([0]), np.array([0]), None, np.array([1]), "m")
 
+    @pytest.mark.parametrize("n_domains", [3, 5])
+    def test_domain_id_length_mismatch_rejected(self, n_domains):
+        rows = np.array([0, 1, 1, 0])
+        with pytest.raises(ContractViolationError, match="domain ids"):
+            subcluster_breakdown(rows, rows, np.array(["a", "b", "a", "b"]), np.ones(n_domains, dtype=int), "a")
+
 
 class TestPcaProject:
     def test_planar_points_preserve_distances(self):

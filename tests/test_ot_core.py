@@ -2,6 +2,9 @@
 properties (oracle agreement, feasibility, symmetry, monotonicity, gradient
 correctness, scale covariance)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,9 @@ def blurred_epsilon(cost, fraction):
 
 
 _fractions = st.floats(0.25, 1.0)
+# The shipped finish block, and blocks far below it, so that small plans
+# straddle many blocks and the splits of numpy's pairwise summation tree.
+_finish_blocks = st.sampled_from([ot_core._FINISH_BLOCK, 8, 64, 136])
 _sinkhorn_settings = settings(max_examples=100, deadline=None)
 
 
@@ -183,8 +189,9 @@ class TestEntropy:
         seed=st.integers(0, 2**32 - 1),
         zero_share=st.sampled_from([0.0, 0.0, 0.1, 0.9]),
         transposed=st.booleans(),
+        block=_finish_blocks,
     )
-    def test_matches_masked_sum_bytes(self, shape, seed, zero_share, transposed):
+    def test_matches_masked_sum_bytes(self, shape, seed, zero_share, transposed, block):
         # positive plans skip the mask; they must still sum in its order
         rng = np.random.default_rng(seed)
         gamma = rng.random(shape) * 10.0 ** rng.uniform(-12, 0)
@@ -193,7 +200,9 @@ class TestEntropy:
             gamma = gamma.T
         positive = gamma[gamma > 0]
         expected = float(-np.sum(positive * np.log(positive)))
-        assert np.float64(entropy(gamma)).tobytes() == np.float64(expected).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot_core, "_FINISH_BLOCK", block)
+            assert np.float64(entropy(gamma)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestBruteForce:
@@ -462,23 +471,85 @@ def solver_outputs(draw):
     return np.maximum(gamma, 0.0), C, a, b, draw(st.booleans())
 
 
+def assert_same_plan_bytes(plan, gamma, value_cost, value_regularized):
+    assert plan.gamma.tobytes() == gamma.tobytes()
+    assert np.float64(plan.value_cost).tobytes() == np.float64(value_cost).tobytes()
+    assert np.float64(plan.value_regularized).tobytes() == np.float64(value_regularized).tobytes()
+
+
+def posthoc_sized_problem():
+    """A post-hoc alignment solve's shape and settings: 600 target rows
+    against 1 800 source rows of 32-d features, absolute eps 2."""
+    rng = np.random.default_rng(11)
+    src = DiscreteDistribution.uniform(rng.standard_normal((600, 32)))
+    tgt = DiscreteDistribution.uniform(rng.standard_normal((1800, 32)) + 0.3)
+    config = SinkhornConfig(epsilon=2.0, relative_epsilon=False, max_iterations=1000, marginal_tolerance=1e-6)
+    return cost_matrix(src, tgt), src, tgt, config
+
+
 class TestSinkhornFinish:
     @settings(max_examples=300, deadline=None)
-    @given(case=solver_outputs())
-    def test_matches_reference_bytes(self, case):
+    @given(case=solver_outputs(), block=_finish_blocks)
+    def test_matches_reference_bytes(self, case, block):
         gamma, C, a, b, converged = case
         src = DiscreteDistribution(np.zeros((len(a), 1)), a)
         tgt = DiscreteDistribution(np.zeros((len(b), 1)), b)
         config = SinkhornConfig()
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot_core, "_FINISH_BLOCK", block)
             mp.setattr(ot_core, "_sinkhorn_stabilized", lambda *args: (gamma.copy(order="K"), 7, converged))
             plan = sinkhorn(CostMatrix(C, EUCLIDEAN), src, tgt, config)
         expected = reference_round_to_feasible(gamma.copy(order="K"), a, b) if converged else gamma
         value_cost = float(np.sum(expected * C))
         value_regularized = value_cost - config.resolve_epsilon(C) * reference_entropy(expected)
-        assert plan.gamma.tobytes() == expected.tobytes()
-        assert np.float64(plan.value_cost).tobytes() == np.float64(value_cost).tobytes()
-        assert np.float64(plan.value_regularized).tobytes() == np.float64(value_regularized).tobytes()
+        assert_same_plan_bytes(plan, expected, value_cost, value_regularized)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=arrays(float, st.integers(0, 3000), elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+        block=st.sampled_from([8, 64, 136, 1000, 1 << 16]),
+    )
+    def test_tree_sum_is_np_sum(self, terms, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot_core, "_FINISH_BLOCK", block)
+            total = ot_core._tree_sum(lambda start, stop: terms[start:stop].copy(), 0, terms.size)
+        assert np.float64(total).tobytes() == np.float64(np.sum(terms)).tobytes()
+
+    def test_posthoc_sized_plan_matches_full_size_reference(self):
+        cost, src, tgt, config = posthoc_sized_problem()
+        C, a, b = cost.entries, src.weights, tgt.weights
+        plan = sinkhorn(cost, src, tgt, config)
+        eps = config.resolve_epsilon(C)
+        solved, _, converged = ot_core._sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
+        assert converged
+        expected = reference_round_to_feasible(solved.copy(), a, b)
+        assert not np.array_equal(expected, solved), "the rounding's correction must be exercised"
+        value_cost = float(np.sum(expected * C))
+        assert_same_plan_bytes(plan, expected, value_cost, value_cost - eps * reference_entropy(expected))
+
+    def test_posthoc_sized_solve_holds_one_plan(self):
+        # The plan, two finish blocks and 1 MB for the solver's vectors and
+        # numpy's bookkeeping; a second plan-sized array would not fit. With
+        # the cyclic collector off, what a reference cycle keeps of the
+        # solve outlives it.
+        cost, src, tgt, config = posthoc_sized_problem()
+        limit = cost.entries.nbytes + 2 * 8 * ot_core._FINISH_BLOCK + 2**20
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            plan = sinkhorn(cost, src, tgt, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del plan
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        assert peak < limit, f"peak {peak} bytes, limit {limit}"
+        assert kept < 2**20, f"{kept} bytes outlive the solve"
 
 
 class TestMarginalResidual:

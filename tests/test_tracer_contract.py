@@ -9,15 +9,16 @@ benchmark's folder gets no new files.
 import importlib
 import inspect
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otda import eval_report
+from otda import eval_report, posthoc_align
 from otda.da_train import EpochRecord, RunReport
 from otda.eval_report import BreakdownCell, roc_auc
-from otda.ot_core import ot_value_and_point_grads, sinkhorn
+from otda.ot_core import CostMatrix, DiscreteDistribution, SinkhornConfig, ot_value_and_point_grads, sinkhorn
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,6 +50,30 @@ def test_every_wrapped_name_is_callable(tracing):
 ])
 def test_hooked_arguments_keep_their_positions(function, leading):
     assert list(inspect.signature(function).parameters)[:4] == leading
+
+
+def test_barycentric_map_solves_through_its_module(tracing, monkeypatch):
+    """The post-hoc counters (posthoc_align.sinkhorn_iters, plan_entries) and
+    the per-plan check see a post-hoc solve only if barycentric_map looks up
+    cost_matrix and sinkhorn on posthoc_align and hands sinkhorn
+    (cost, source, target, config) by position, where the hook reads them."""
+    calls = []
+    for attr in ("cost_matrix", "sinkhorn"):
+        def record(*args, _attr=attr, _call=getattr(posthoc_align, attr), **kwargs):
+            result = _call(*args, **kwargs)
+            calls.append((_attr, args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(posthoc_align, attr, record)
+    rng = np.random.default_rng(0)
+    posthoc_align.barycentric_map(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)))
+    assert [attr for attr, *_ in calls] == ["cost_matrix", "sinkhorn"]
+    _, args, kwargs, plan = calls[1]
+    assert kwargs == {}
+    assert [type(arg) for arg in args] == [CostMatrix, DiscreteDistribution, DiscreteDistribution, SinkhornConfig]
+    tracer, span = types.SimpleNamespace(problems=[]), [None] * 6 + [{}]
+    tracing._HOOKS[tracing.SINKHORN](tracer, span, args, kwargs, plan)
+    assert tracer.problems == [] and span[6]["entries"] == 7 * 9
 
 
 def test_emit_writers_return_what_they_wrote(tracing, tmp_path):
