@@ -4,7 +4,7 @@ post-hoc alignment baseline, a synthetic multi-institution benchmark, and
 reporting utilities. See the CLI (`otda --help`) for the experiment surface.
 """
 
-from .data_gen import DomainDataset, GeneratorConfig, ShiftSpec, generate, load, save, swap_val_test
+from .data_gen import DomainDataset, GeneratorConfig, generate, load, save, swap_val_test
 from .da_train import (
     EpochRecord,
     RunReport,
@@ -56,7 +56,6 @@ __all__ = [
     "OptimizerConfig",
     "RocCurve",
     "RunReport",
-    "ShiftSpec",
     "SinkhornConfig",
     "SweepResult",
     "TrainConfig",

@@ -59,42 +59,11 @@ _GEOMETRY_SEED = 173
 
 
 @dataclass(frozen=True)
-class ShiftSpec:
-    """Per-domain affine transforms plus subcluster inclusion masks.
-
-    scales/offsets: (num_domains, d) arrays; inclusion: (num_domains, 2,
-    SUBCLUSTERS_PER_CLASS) booleans saying which class-conditional mixture
-    components appear in each domain.
-    """
-
-    scales: np.ndarray
-    offsets: np.ndarray
-    inclusion: np.ndarray
-
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=float)
-        offsets = np.asarray(self.offsets, dtype=float)
-        inclusion = np.asarray(self.inclusion, dtype=bool)
-        if scales.shape != offsets.shape or scales.ndim != 2:
-            raise ContractViolationError("scales and offsets must be matching (num_domains, d) arrays")
-        if np.any(scales <= 0):
-            raise ContractViolationError("shift scales must be positive")
-        if inclusion.shape != (scales.shape[0], 2, SUBCLUSTERS_PER_CLASS):
-            raise ContractViolationError(
-                f"inclusion must have shape ({scales.shape[0]}, 2, {SUBCLUSTERS_PER_CLASS})"
-            )
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "inclusion", inclusion)
-
-
-@dataclass(frozen=True)
 class GeneratorConfig:
     num_domains: int = 5
     dim: int = 8
     samples_per_domain: int = 600
     seed: int = 7
-    shift: ShiftSpec | None = None
 
     def __post_init__(self):
         if self.num_domains < 3:
@@ -189,7 +158,10 @@ def subcluster_means(config: GeneratorConfig) -> np.ndarray:
     return means
 
 
-def default_shift_spec(config: GeneratorConfig, rng: np.random.Generator) -> ShiftSpec:
+def _draw_shift(config: GeneratorConfig, rng: np.random.Generator) -> tuple:
+    """(scales, offsets, inclusion): each domain's per-coordinate affine
+    shift, (num_domains, d) arrays, and which subclusters of each class it
+    draws from, (num_domains, 2, SUBCLUSTERS_PER_CLASS) booleans."""
     n, d = config.num_domains, config.dim
     scales = np.empty((n, d))
     offsets = np.empty((n, d))
@@ -205,23 +177,16 @@ def default_shift_spec(config: GeneratorConfig, rng: np.random.Generator) -> Shi
         offsets[k] = base_offset + _OFFSET_JITTER * rng.standard_normal(d)
     inclusion = np.ones((n, 2, SUBCLUSTERS_PER_CLASS), dtype=bool)
     inclusion[: n - 1, MASKED_CLASS, MASKED_SUBCLUSTER] = False
-    return ShiftSpec(scales, offsets, inclusion)
+    return scales, offsets, inclusion
 
 
 def generate(config: GeneratorConfig) -> DomainDataset:
-    """Draw the benchmark; deterministic for a fixed config."""
+    """Draw the benchmark; deterministic for a fixed config. Every domain
+    holds at least 40 rows of each class (samples_per_domain >= 100 and the
+    class-1 share lies in _CLASS1_FRACTION_RANGE), drawn from two or three
+    subclusters."""
     rng = np.random.default_rng([int(config.seed), 1])
-    shift = config.shift if config.shift is not None else default_shift_spec(config, rng)
-    if shift.scales.shape != (config.num_domains, config.dim):
-        raise ConfigurationError(
-            f"shift spec shape {shift.scales.shape} does not match "
-            f"({config.num_domains}, {config.dim})"
-        )
-    train_domains = range(config.num_domains - 2)
-    for cls in (0, 1):
-        if not any(shift.inclusion[k, cls].any() for k in train_domains):
-            raise ConfigurationError(f"class {cls} has no subclusters in any train domain")
-
+    scales, offsets, inclusion = _draw_shift(config, rng)
     means = subcluster_means(config)
     lo, hi = _CLASS1_FRACTION_RANGE
     n = config.samples_per_domain
@@ -230,33 +195,22 @@ def generate(config: GeneratorConfig) -> DomainDataset:
     for k in range(config.num_domains):
         domain_id = k + 1
         split = "train" if k < config.num_domains - 2 else ("val" if k == config.num_domains - 2 else "test")
-        included = {c: np.flatnonzero(shift.inclusion[k, c]) for c in (0, 1)}
         frac1 = float(rng.uniform(lo, hi))
-        if included[1].size == 0:
-            frac1 = 0.0
-        if included[0].size == 0:
-            frac1 = 1.0
         n1 = int(round(frac1 * n))
         y = np.concatenate([np.ones(n1, dtype=int), np.zeros(n - n1, dtype=int)])
         rng.shuffle(y)
         subs = np.zeros(n, dtype=int)
         for c in (0, 1):
             mask = y == c
-            if mask.any():
-                pool = included[c]
-                subs[mask] = pool[(rng.random(int(mask.sum())) * pool.size).astype(int)]
+            pool = np.flatnonzero(inclusion[k, c])
+            subs[mask] = pool[(rng.random(int(mask.sum())) * pool.size).astype(int)]
         latent = means[y, subs] + _NOISE_SIGMA * rng.standard_normal((n, config.dim))
-        x = shift.scales[k] * latent + shift.offsets[k]
+        x = scales[k] * latent + offsets[k]
         feats.append(x)
         labels.append(y)
         domains.append(np.full(n, domain_id, dtype=int))
         splits.append(np.full(n, split, dtype=object))
         tags.extend(f"c{c}s{s}" for c, s in zip(y.tolist(), subs.tolist()))
-
-    for k in train_domains:
-        for cls in (0, 1):
-            if shift.inclusion[k, cls].any() and not np.any(labels[k] == cls):
-                raise ConfigurationError(f"train domain {k + 1} drew no samples of class {cls}")
 
     metadata = {
         "generator": {
@@ -272,9 +226,9 @@ def generate(config: GeneratorConfig) -> DomainDataset:
             "novel_spread": _NOVEL_SPREAD,
         },
         "shift": {
-            "scales": shift.scales.tolist(),
-            "offsets": shift.offsets.tolist(),
-            "inclusion": shift.inclusion.tolist(),
+            "scales": scales.tolist(),
+            "offsets": offsets.tolist(),
+            "inclusion": inclusion.tolist(),
         },
         "masked_subcluster": {"class": MASKED_CLASS, "index": MASKED_SUBCLUSTER, "tag": masked_tag()},
     }

@@ -92,7 +92,9 @@ class CostMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise ContractViolationError(f"cost entries must be 2-D, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)) or np.any(entries < 0):
+        # min() and max() check without a boolean temporary the size of the
+        # matrix; a NaN fails both comparisons. min() raises on an empty array.
+        if entries.size and not (entries.min() >= 0 and entries.max() < np.inf):
             raise ContractViolationError("cost entries must be finite and nonnegative")
         if self.metric_tag not in _METRICS:
             raise ContractViolationError(f"unknown metric tag {self.metric_tag!r}")
@@ -270,6 +272,20 @@ def marginal_residual(plan: TransportPlan, source: DiscreteDistribution, target:
     row = float(np.max(np.abs(gamma.sum(axis=1) - source.weights)))
     col = float(np.max(np.abs(gamma.sum(axis=0) - target.weights)))
     return row, col
+
+
+def require_converged(plan: TransportPlan, source: DiscreteDistribution, target: DiscreteDistribution) -> None:
+    """Raise SinkhornConvergenceError, with the iteration count and both
+    marginal residuals, when the solve that made plan hit its iteration cap."""
+    if not plan.converged:
+        row, col = marginal_residual(plan, source, target)
+        raise SinkhornConvergenceError(
+            f"Sinkhorn did not converge in {plan.iterations_used} iterations "
+            f"(residuals row={row:.3e}, col={col:.3e})",
+            iterations_used=plan.iterations_used,
+            row_residual=row,
+            col_residual=col,
+        )
 
 
 def exact_ot_bruteforce(cost: CostMatrix, source: DiscreteDistribution, target: DiscreteDistribution) -> tuple:
@@ -596,15 +612,7 @@ def ot_value_and_point_grads(
     tgt = DiscreteDistribution.uniform(Y)
     cost = cost_matrix(src, tgt, metric)
     plan = sinkhorn(cost, src, tgt, config)
-    if not plan.converged:
-        row, col = marginal_residual(plan, src, tgt)
-        raise SinkhornConvergenceError(
-            f"Sinkhorn did not converge in {plan.iterations_used} iterations "
-            f"(residuals row={row:.3e}, col={col:.3e})",
-            iterations_used=plan.iterations_used,
-            row_residual=row,
-            col_residual=col,
-        )
+    require_converged(plan, src, tgt)
     gamma = plan.gamma
     if metric == SQUARED_EUCLIDEAN:
         row_mass = gamma.sum(axis=1)

@@ -18,6 +18,7 @@ from .ot_core import (
     SinkhornConfig,
     TransportPlan,
     cost_matrix,
+    require_converged,
     sinkhorn,
 )
 from dataclasses import dataclass
@@ -53,7 +54,8 @@ def barycentric_map(
     Solves entropic transport from the target points (rows of the plan) to
     the source points with uniform weights and absolute regularization
     epsilon, then replaces each target row by its transported-mass-weighted
-    average of source rows. Returns (aligned_features, plan).
+    average of source rows. Returns (aligned_features, plan); raises
+    SinkhornConvergenceError when the solve stops at MAX_ITERATIONS.
     """
     src = np.asarray(source_features, dtype=float)
     tgt = np.asarray(target_features, dtype=float)
@@ -73,6 +75,7 @@ def barycentric_map(
         marginal_tolerance=MARGINAL_TOLERANCE,
     )
     plan = sinkhorn(cost, target_measure, source_measure, config)
+    require_converged(plan, target_measure, source_measure)
     row_mass = plan.gamma.sum(axis=1)
     if np.any(row_mass <= 0):
         raise NumericError("degenerate transport row with zero mass; plan is not feasible")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cap_training_solver_at_one_iteration, record_blas_threads
+from otda import posthoc_align
 from otda.cli import _apply_config_file, build_parser, run
 from otda.errors import ConfigurationError
 from otda.da_train import load_report
@@ -288,6 +289,15 @@ class TestOtherCommands:
         summary = json.loads((out / "posthoc.json").read_text())
         assert set(summary) == {"val", "test"}
         assert (out / "tables" / "posthoc.csv").exists()
+
+    def test_posthoc_unconverged_is_exit_two(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(posthoc_align, "MAX_ITERATIONS", 1)
+        out = tmp_path / "ph"
+        assert run(["posthoc", "--data", str(data_dir), "--out", str(out), "--epochs", "2"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "SinkhornConvergenceError"
+        assert payload["iterations_used"] == 1
+        assert not (out / "posthoc.json").exists()
 
     def test_sweep_table_shape(self, data_dir, tmp_path):
         out = tmp_path / "sweep"

@@ -309,10 +309,15 @@ class TestAlphaSweep:
             assert [r.to_json_dict() for r in par_row] == [r.to_json_dict() for r in seq_row]
 
 
-def _worker_state():
+def _cell_blas_threads(config):
+    """In a pool worker: train one cell on the worker's dataset and return
+    the BLAS thread counts its featurizer calls ran at."""
     import otda.da_train
 
-    return _openblas_function("get_num_threads")(), otda.da_train._worker_dataset is not None
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_blas_threads(mp, otda.da_train, "forward_features", _openblas_function("get_num_threads"))
+        otda.da_train._sweep_cell(config)
+    return seen
 
 
 class TestWorkerPool:
@@ -326,20 +331,12 @@ class TestWorkerPool:
             assert par_report.to_json_dict() == seq_report.to_json_dict()
             assert [a.tobytes() for a in model_arrays(par_params)] == [a.tobytes() for a in model_arrays(seq_params)]
 
-    def test_workers_run_one_blas_thread(self, tiny_ds):
-        set_threads = _openblas_function("set_num_threads")
-        if set_threads is None or _openblas_function("get_num_threads") is None:
-            pytest.skip("numpy exposes no OpenBLAS thread controls")
-        before = _openblas_function("get_num_threads")()
-        # Two threads in the parent, so a worker that kept them would show it.
-        set_threads(2)
-        try:
-            with _worker_pool(tiny_ds, 1) as pool:
-                threads, has_dataset = pool.submit(_worker_state).result()
-        finally:
-            set_threads(before)
-        assert threads == 1
-        assert has_dataset
+    def test_workers_run_one_blas_thread(self, tiny_ds, parent_blas_threads):
+        # The parent runs two threads, so a cell that kept them would show it.
+        with _worker_pool(tiny_ds, 1) as pool:
+            seen = pool.submit(_cell_blas_threads, small_config(method="dann", epochs=1)).result()
+        assert seen and set(seen) == {1}
+        assert parent_blas_threads() == 2
 
 
 class TestBlasScope:

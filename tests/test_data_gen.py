@@ -1,5 +1,7 @@
 """Benchmark generator: determinism, split topology, the withheld subcluster,
-shift behavior, CSV round trips, and parse errors."""
+shift behavior, pinned dataset bytes, CSV round trips, and parse errors."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,8 +14,6 @@ from otda.data_gen import (
     SPLITS,
     DomainDataset,
     GeneratorConfig,
-    ShiftSpec,
-    SUBCLUSTERS_PER_CLASS,
     generate,
     load,
     masked_tag,
@@ -54,15 +54,6 @@ def default_ds():
     return generate(GeneratorConfig(samples_per_domain=300, seed=11))
 
 
-def identity_shift(config):
-    n, d = config.num_domains, config.dim
-    return ShiftSpec(
-        scales=np.ones((n, d)),
-        offsets=np.zeros((n, d)),
-        inclusion=np.ones((n, 2, SUBCLUSTERS_PER_CLASS), dtype=bool),
-    )
-
-
 class TestGenerate:
     def test_split_topology(self, default_ds):
         assert default_ds.domains_for_split("train") == [1, 2, 3]
@@ -98,28 +89,38 @@ class TestGenerate:
             half = len(x) // 2
             assert probe_accuracy(x[:half], y[:half], x[half:], y[half:]) >= 0.9
 
-    def test_identity_shift_probe_transfers(self):
-        config = GeneratorConfig(samples_per_domain=300, seed=11)
-        config = GeneratorConfig(samples_per_domain=300, seed=11, shift=identity_shift(config))
-        ds = generate(config)
-        x_tr, y_tr = ds.split_arrays("train")
-        x_te, y_te = ds.split_arrays("test")
-        assert probe_accuracy(x_tr, y_tr, x_te, y_te) >= 0.9
-
-    def test_infeasible_mask_rejected(self):
-        config = GeneratorConfig(samples_per_domain=150, seed=0)
-        spec = identity_shift(config)
-        inclusion = spec.inclusion.copy()
-        inclusion[:3, 1, :] = False  # class 1 absent from every train domain
-        bad = ShiftSpec(spec.scales, spec.offsets, inclusion)
-        with pytest.raises(ConfigurationError):
-            generate(GeneratorConfig(samples_per_domain=150, seed=0, shift=bad))
+    def test_undoing_the_recorded_shift_lets_a_probe_transfer(self, default_ds):
+        # The sidecar's shift is the one the features went through: undone,
+        # train and test share one latent space and a linear probe carries over.
+        shift = default_ds.metadata["shift"]
+        rows = default_ds.domain_ids - 1
+        scales, offsets = np.array(shift["scales"]), np.array(shift["offsets"])
+        latent = (default_ds.features - offsets[rows]) / scales[rows]
+        train, test = default_ds.split_indices("train"), default_ds.split_indices("test")
+        y = default_ds.labels
+        assert probe_accuracy(latent[train], y[train], latent[test], y[test]) >= 0.9
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             GeneratorConfig(num_domains=2)
         with pytest.raises(ConfigurationError):
             GeneratorConfig(samples_per_domain=50)
+
+
+class TestDigest:
+    """The bytes of save(generate(config)), CSV then sidecar. The default
+    dataset is the one the acceptance gate is calibrated on."""
+
+    @pytest.mark.parametrize("config, digest", [
+        (GeneratorConfig(), "24f9167cafdd97e2fab51b47a27bca2090c38581d4fa6ce714621709763efd4b"),
+        (GeneratorConfig(num_domains=3, dim=4, samples_per_domain=100, seed=1),
+         "9dd8038dd17fc07e5e8be1b7806abc0a53c3b55252a79bbb7f510a3f785cfc10"),
+    ], ids=["default", "three-domains"])
+    def test_saved_dataset_bytes(self, tmp_path, config, digest):
+        path = tmp_path / "dataset.csv"
+        save(generate(config), path)
+        written = path.read_bytes() + (tmp_path / "dataset.meta.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
 
 
 class TestSwap:

@@ -168,6 +168,33 @@ class TestCostMatrix:
         with pytest.raises(ContractViolationError):
             cost_matrix(src, tgt)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_nonfinite_or_negative_entry_rejected(self, bad):
+        entries = np.ones((3, 4))
+        entries[1, 2] = bad
+        with pytest.raises(ContractViolationError):
+            CostMatrix(entries, EUCLIDEAN)
+
+    def test_empty_entries_accepted(self):
+        assert CostMatrix(np.zeros((0, 3)), EUCLIDEAN).shape == (0, 3)
+
+    def test_checks_hold_no_matrix_sized_temporary(self):
+        # A boolean mask over a post-hoc sized cost matrix (600 x 1 800)
+        # takes 1.08 MB; building and checking the matrix stays below half.
+        rng = np.random.default_rng(11)
+        src = DiscreteDistribution.uniform(rng.standard_normal((600, 32)))
+        tgt = DiscreteDistribution.uniform(rng.standard_normal((1800, 32)))
+        cost_matrix(src, tgt)  # scipy loads outside the traced window
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cost = cost_matrix(src, tgt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - cost.entries.nbytes < 2**19, f"peak {peak} bytes over a {cost.entries.nbytes}-byte matrix"
+
 
 class TestEntropy:
     def test_single_atom(self):

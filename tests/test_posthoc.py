@@ -7,7 +7,7 @@ import pytest
 from otda import posthoc_align
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import TrainConfig, train_with_model
-from otda.errors import ContractViolationError
+from otda.errors import ContractViolationError, SinkhornConvergenceError
 from otda.nn_core import forward_classifier, forward_features, init_model
 from otda.posthoc_align import barycentric_map, evaluate_posthoc
 
@@ -98,3 +98,11 @@ class TestEvaluatePosthoc:
         monkeypatch.setattr(posthoc_align, "MAX_SOURCE_ROWS", 64)
         results = evaluate_posthoc(dataset, params)
         assert results["test"].plan.gamma.shape[1] == 64
+
+    def test_unconverged_solve_raises(self, trained, monkeypatch):
+        dataset, params = trained
+        monkeypatch.setattr(posthoc_align, "MAX_ITERATIONS", 1)
+        with pytest.raises(SinkhornConvergenceError) as info:
+            evaluate_posthoc(dataset, params)
+        assert info.value.iterations_used == 1
+        assert max(info.value.row_residual, info.value.col_residual) > posthoc_align.MARGINAL_TOLERANCE
