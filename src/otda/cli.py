@@ -196,7 +196,8 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
         x, y = dataset.split_arrays(split)
         features, _ = forward_features(params, x)
         logits = forward_classifier(params, features)
-        curves[split] = roc_auc(eval_report.softmax_scores(logits), y)
+        if report.final[split]["auc"] is not None:
+            curves[split] = roc_auc(eval_report.softmax_scores(logits), y)
         idx = dataset.split_indices(split)
         eval_report.write_embedding_csv(
             pca_project(features), y, dataset.domain_ids[idx],

@@ -53,6 +53,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ContractViolationError("scores and labels must be matching 1-D arrays")
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractViolationError("labels must be 0 or 1")
+    if not np.isfinite(scores).all():
+        raise ContractViolationError("scores must be finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

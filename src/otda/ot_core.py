@@ -182,10 +182,10 @@ _FINISH_BLOCK = 1 << 16
 _PAIRWISE_LEAF = 128
 
 
-def _finish_scratch(size):
-    """The scratch for the finish of a plan of `size` entries: one block,
-    or the plan if it is smaller."""
-    return np.empty(min(size, max(_FINISH_BLOCK, _PAIRWISE_LEAF)))
+def _finish_scratch(shape):
+    """The scratch for the finish of a plan of this shape: one block, or
+    the plan if it is smaller, but never shorter than one row."""
+    return np.empty(min(shape[0] * shape[1], max(_FINISH_BLOCK, _PAIRWISE_LEAF, shape[1])))
 
 
 def _tree_sum(terms, start, size):
@@ -201,59 +201,28 @@ def _tree_sum(terms, start, size):
     return _tree_sum(terms, start, half) + _tree_sum(terms, start + half, size - half)
 
 
-def _rectangles(start, stop, width):
-    """The flat C-order span [start, stop) of a 2-D array `width` columns
-    wide, as at most three (rows, cols) slice pairs, in order."""
-    if start == stop:
-        return []
-    r0, c0 = divmod(start, width)
-    r1, c1 = divmod(stop, width)
-    if r0 == r1:
-        return [(slice(r0, r0 + 1), slice(c0, c1))]
-    pieces = []
-    if c0:
-        pieces.append((slice(r0, r0 + 1), slice(c0, width)))
-        r0 += 1
-    if r1 > r0:
-        pieces.append((slice(r0, r1), slice(None)))
-    if c1:
-        pieces.append((slice(r1, r1 + 1), slice(0, c1)))
-    return pieces
-
-
-def _fill(op, scratch, start, stop, *operands):
-    """op(*operands, out=...) over the flat C-order span [start, stop) of
-    the 2-D operands, written in order to the head of scratch, which is
-    returned."""
-    at = 0
-    for rows, cols in _rectangles(start, stop, operands[0].shape[1]):
-        parts = [x[rows, cols] for x in operands]
-        end = at + parts[0].size
-        op(*parts, out=scratch[at:end].reshape(parts[0].shape))
-        at = end
-    return scratch[:at]
-
-
 def entropy(plan) -> float:
     """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0."""
     gamma = np.asarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float)
-    if gamma.ndim != 2:
-        gamma = gamma.reshape(1, -1)
-    return _entropy(gamma, _finish_scratch(gamma.size))
+    return _entropy(gamma, _finish_scratch((gamma.size, 1)))  # the flat terms as one column
 
 
 def _entropy(gamma, scratch) -> float:
-    """entropy(gamma) for a 2-D gamma, with the terms g log g written block
-    by block to scratch (see _finish_scratch). The terms are summed in C
-    order, which is the order of the masked sum. A zero, negative or NaN
-    entry makes the sum NaN; only then is the masked sum taken."""
+    """entropy(gamma), with the terms g log g written block by block to
+    scratch (see _finish_scratch). The terms are summed in C order, which is
+    the order of the masked sum; an F-ordered gamma is copied for it. A zero
+    entry makes the sum NaN, and only then is the masked sum taken; a
+    negative, NaN or infinite entry raises ContractViolationError."""
+    flat = np.ascontiguousarray(gamma).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = _tree_sum(lambda start, stop: _fill(_xlogx, scratch, start, stop, gamma), 0, gamma.size)
-    if not np.isnan(total):
+        total = _tree_sum(lambda s, e: _xlogx(flat[s:e], scratch[: e - s]), 0, flat.size)
+    if np.isfinite(total):
         return float(-total)
-    if np.any(gamma < 0):
-        raise ContractViolationError("plan entries must be nonnegative")
-    positive = gamma[gamma > 0]
+    # min() and max() check without a boolean temporary the size of the
+    # plan; a NaN fails both comparisons.
+    if not (flat.min() >= 0 and flat.max() < np.inf):
+        raise ContractViolationError("plan entries must be finite and nonnegative")
+    positive = flat[flat > 0]
     return float(-np.sum(positive * np.log(positive)))
 
 
@@ -341,13 +310,12 @@ def _shrink(gamma, sums, target, axis):
     return True
 
 
-def _round_to_feasible(gamma, a, b, scratch=None):
+def _round_to_feasible(gamma, a, b, scratch):
     """Project an almost-feasible plan onto the transport polytope, in place:
     shrink overfull rows and columns, then spread the leftover mass as a
     rank-one correction, built block by block in scratch (see
-    _finish_scratch; a fresh one when None). The result has exact marginals
-    (to float addition), so its cost can never undercut the unregularized
-    optimum."""
+    _finish_scratch). The result has exact marginals (to float addition),
+    so its cost can never undercut the unregularized optimum."""
     rows = gamma.sum(axis=1)
     rows_moved = _shrink(gamma, rows, a, axis=1)
     cols = gamma.sum(axis=0)
@@ -360,15 +328,14 @@ def _round_to_feasible(gamma, a, b, scratch=None):
     missing_b = np.maximum(b - cols, 0.0)
     total = missing_a.sum()
     if total > 0:
-        # np.outer's product over total, added one block at a time
-        if scratch is None:
-            scratch = _finish_scratch(gamma.size)
-        for start in range(0, gamma.size, scratch.size):
-            for i, j in _rectangles(start, min(start + scratch.size, gamma.size), gamma.shape[1]):
-                piece = gamma[i, j]
-                correction = np.multiply(missing_a[i, None], missing_b[j], out=scratch[: piece.size].reshape(piece.shape))
-                correction /= total
-                piece += correction
+        # np.outer's product over total, added a block of whole rows at a time
+        n, m = gamma.shape
+        step = scratch.size // m
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            correction = np.multiply(missing_a[start:stop, None], missing_b, out=scratch[: (stop - start) * m].reshape(-1, m))
+            correction /= total
+            gamma[start:stop] += correction
     return gamma
 
 
@@ -402,14 +369,16 @@ def sinkhorn(
     b = target.weights
     eps = config.resolve_epsilon(C)
     gamma, iters, converged = _sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
-    # One block-sized scratch serves the rounding, <gamma, C> and the
-    # entropy. numpy lays gamma * C out as gamma, so the cost sums in
-    # gamma's memory order; the entropy sums in C order.
-    scratch = _finish_scratch(gamma.size)
+    # One scratch serves the rounding, <gamma, C> and the entropy. numpy
+    # lays gamma * C out as gamma, so the cost sums in gamma's memory order,
+    # over flat views (C is copied only if its layout differs from gamma's);
+    # the entropy sums in C order.
+    scratch = _finish_scratch(gamma.shape)
     if converged:
         gamma = _round_to_feasible(gamma, a, b, scratch)
     g, c = (gamma.T, C.T) if gamma.flags.f_contiguous and not gamma.flags.c_contiguous else (gamma, C)
-    value_cost = float(_tree_sum(lambda start, stop: _fill(np.multiply, scratch, start, stop, g, c), 0, g.size))
+    g, c = g.reshape(-1), np.ascontiguousarray(c).reshape(-1)
+    value_cost = float(_tree_sum(lambda s, e: np.multiply(g[s:e], c[s:e], out=scratch[: e - s]), 0, g.size))
     value_reg = value_cost - eps * _entropy(gamma, scratch)
     return TransportPlan(
         gamma=gamma,

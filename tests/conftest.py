@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from otda.data_gen import GeneratorConfig, generate, swap_val_test
-from otda.da_train import TrainConfig, _openblas_function, alpha_sweep, train_with_model
+from otda.da_train import TrainConfig, _openblas_function, alpha_sweep, run_seeds
 
 ACCEPTANCE_SEEDS = (0, 1, 2, 3)
 ALPHA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -27,18 +27,20 @@ def small_dataset():
     return generate(GeneratorConfig(samples_per_domain=150, seed=3))
 
 
+def _pooled_runs(dataset, methods):
+    """(report, params) per seed for each method at the default alpha,
+    trained on two pool workers like sweep_result."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OTDA_THREADS", "2")
+        return {
+            method: run_seeds(dataset, TrainConfig(method=method, alpha=DEFAULT_ALPHA), ACCEPTANCE_SEEDS, keep_params=True)
+            for method in methods
+        }
+
+
 @pytest.fixture(scope="session")
 def method_runs(benchmark_dataset):
-    """(report, params) per seed for each method at the default alpha."""
-    runs = {}
-    for method in ("erm", "ot", "dann"):
-        runs[method] = [
-            train_with_model(
-                benchmark_dataset, TrainConfig(method=method, alpha=DEFAULT_ALPHA, seed=seed)
-            )
-            for seed in ACCEPTANCE_SEEDS
-        ]
-    return runs
+    return _pooled_runs(benchmark_dataset, ("erm", "ot", "dann"))
 
 
 @pytest.fixture(scope="session")
@@ -63,14 +65,7 @@ def sweep_result(benchmark_dataset):
 
 @pytest.fixture(scope="session")
 def swap_runs(benchmark_dataset):
-    swapped = swap_val_test(benchmark_dataset)
-    runs = {}
-    for method in ("erm", "ot"):
-        runs[method] = [
-            train_with_model(swapped, TrainConfig(method=method, alpha=DEFAULT_ALPHA, seed=seed))
-            for seed in ACCEPTANCE_SEEDS
-        ]
-    return runs
+    return _pooled_runs(swap_val_test(benchmark_dataset), ("erm", "ot"))
 
 
 @pytest.fixture

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cap_training_solver_at_one_iteration, record_blas_threads
-from otda import posthoc_align
+from otda import data_gen, posthoc_align
 from otda.cli import _apply_config_file, build_parser, run
 from otda.errors import ConfigurationError
 from otda.da_train import load_report
+from otda.data_gen import DomainDataset
 from otda.eval_report import emit_tables
 
 
@@ -76,6 +77,21 @@ class TestTrain:
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], rel
+
+    def test_one_class_test_split_writes_every_file(self, data_dir, tmp_path):
+        # training records a null test AUC; emission leaves the test split
+        # off the ROC plot instead of failing halfway through the run files
+        ds = data_gen.load(data_dir / "dataset.csv")
+        keep = ~((ds.splits == "test") & (ds.labels == 1))
+        one_class = DomainDataset(
+            ds.features[keep], ds.labels[keep], ds.domain_ids[keep], ds.splits[keep], ds.subclusters[keep], ds.metadata
+        )
+        data_gen.save(one_class, tmp_path / "data" / "dataset.csv")
+        assert run(small_train_args(tmp_path / "data", tmp_path / "one")) == 0
+        assert run(small_train_args(data_dir, tmp_path / "two")) == 0
+        one, two = ([p.relative_to(out) for p in sorted(out.rglob("*")) if p.is_file()] for out in (tmp_path / "one", tmp_path / "two"))
+        assert one == two
+        assert json.loads((tmp_path / "one" / "metrics.json").read_text())["final"]["test"]["auc"] is None
 
     def test_dann_subcommand(self, data_dir, tmp_path):
         out = tmp_path / "dann"

@@ -93,6 +93,19 @@ class TestRocAuc:
         with pytest.raises(UndefinedMetricError):
             roc_auc(np.array([0.1, 0.9]), np.array([1, 1]))
 
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            ([0.9, 0.8, 0.2, 0.1], [1, 2, 0, 0]),
+            ([0.9, 0.8, 0.2, 0.1], [1, 0, -1, 0]),
+            ([0.9, np.nan, 0.2, 0.1], [1, 1, 0, 0]),
+            ([0.9, np.inf, 0.2, 0.1], [1, 1, 0, 0]),
+        ],
+    )
+    def test_labels_outside_zero_one_or_non_finite_scores_rejected(self, scores, labels):
+        with pytest.raises(ContractViolationError):
+            roc_auc(np.array(scores), np.array(labels))
+
 
 class TestSubclusterBreakdown:
     def test_uniform_predictions_cell_majority(self):
