@@ -41,7 +41,7 @@ from .nn_core import (
     init_model,
     sgd_step,
 )
-from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig, ot_value_and_point_grads
+from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig, _distance_kernel, ot_value_and_point_grads
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -389,9 +389,9 @@ def _train_cells(dataset: DomainDataset, configs: list, keep_params: bool = Fals
     if workers <= 1:
         return [_sweep_cell(config, keep_params, dataset) for config in configs]
     if any(config.method == "ot" and config.alpha > 0 for config in configs):
-        # Load cost_matrix's scipy before the fork: every worker of every
-        # pool inherits it instead of importing it again.
-        import scipy.spatial.distance  # noqa: F401
+        # Load cost_matrix's kernel before the fork: every worker of every
+        # pool inherits it instead of loading it again.
+        _distance_kernel()
     with _worker_pool(dataset, workers) as pool:
         return list(pool.map(_sweep_cell, configs, repeat(keep_params)))
 

@@ -16,7 +16,11 @@ first-order gradients without unrolling solver iterations.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +81,9 @@ class DiscreteDistribution:
     @classmethod
     def uniform(cls, points: np.ndarray) -> "DiscreteDistribution":
         points = np.asarray(points, dtype=float)
-        n = points.shape[0]
-        return cls(points, np.full(n, 1.0 / n))
+        n = points.shape[0] if points.ndim == 2 else 0
+        # With no rows to weigh, __post_init__ rejects the points' shape.
+        return cls(points, np.full(n, 1.0 / n) if n else np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,33 @@ class SinkhornConfig:
         return float(self.epsilon) * max(float(np.mean(cost_entries)), _DISTANCE_FLOOR)
 
 
+@functools.cache
+def _distance_kernel():
+    """scipy's compiled cdist kernel, `scipy.spatial._distance_pybind`.
+    scipy's `cdist` hands the euclidean and sqeuclidean metrics to it, so
+    calling it gives cdist's bytes. Loading its extension file alone skips
+    the `scipy.spatial` package, whose import also loads scipy.sparse,
+    scipy.linalg and scipy.special (measured in README, "CLI walkthrough").
+    It loads at the first cost matrix, not at import: erm, dann, gen-data
+    and report never build one. It stays out of sys.modules, so a later
+    `import scipy.spatial.distance` loads as usual."""
+    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy_spec is None:
+        raise ImportError("cost matrices need scipy, which is not installed")
+    path = os.path.join(
+        scipy_spec.submodule_search_locations[0], "spatial",
+        "_distance_pybind" + importlib.machinery.EXTENSION_SUFFIXES[0],
+    )
+    if not os.path.isfile(path):
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no cdist kernel at {path}")
+    spec = importlib.util.spec_from_file_location("scipy.spatial._distance_pybind", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metric: str = EUCLIDEAN) -> CostMatrix:
     """Pairwise euclidean or squared-euclidean costs between the supports."""
     if metric not in _METRICS:
@@ -159,12 +191,9 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
         raise ContractViolationError(
             f"dimension mismatch: source has d={source.dim}, target has d={target.dim}"
         )
-    # scipy loads here, not at import: erm, dann, gen-data and report never
-    # build a cost matrix.
-    from scipy.spatial.distance import cdist
-
-    scipy_metric = "euclidean" if metric == EUCLIDEAN else "sqeuclidean"
-    entries = cdist(source.points, target.points, metric=scipy_metric)
+    kernel = _distance_kernel()
+    cdist = kernel.cdist_euclidean if metric == EUCLIDEAN else kernel.cdist_sqeuclidean
+    entries = cdist(source.points, target.points)
     # cdist can return tiny negative values for identical rows under sqeuclidean
     np.maximum(entries, 0.0, out=entries)
     return CostMatrix(entries, metric)

@@ -110,6 +110,11 @@ class TestDiscreteDistribution:
         with pytest.raises(ContractViolationError):
             DiscreteDistribution(np.array([[np.inf, 0.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("points", [np.zeros((0, 3)), np.array(1.0), np.ones(3)])
+    def test_uniform_of_no_rows_rejected(self, points):
+        with pytest.raises(ContractViolationError):
+            DiscreteDistribution.uniform(points)
+
 
 class TestCostMatrix:
     def test_three_four_five_triangle(self):
@@ -178,13 +183,26 @@ class TestCostMatrix:
     def test_empty_entries_accepted(self):
         assert CostMatrix(np.zeros((0, 3)), EUCLIDEAN).shape == (0, 3)
 
+    def test_missing_kernel_file_names_path_and_version(self, monkeypatch):
+        import importlib.machinery
+
+        import scipy
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        ot_core._distance_kernel.cache_clear()
+        src = DiscreteDistribution.uniform(np.zeros((2, 3)))
+        with pytest.raises(ImportError) as info:
+            cost_matrix(src, src)
+        assert "_distance_pybind.missing.so" in str(info.value)
+        assert scipy.__version__ in str(info.value)
+
     def test_checks_hold_no_matrix_sized_temporary(self):
         # A boolean mask over a post-hoc sized cost matrix (600 x 1 800)
         # takes 1.08 MB; building and checking the matrix stays below half.
         rng = np.random.default_rng(11)
         src = DiscreteDistribution.uniform(rng.standard_normal((600, 32)))
         tgt = DiscreteDistribution.uniform(rng.standard_normal((1800, 32)))
-        cost_matrix(src, tgt)  # scipy loads outside the traced window
+        cost_matrix(src, tgt)  # the cdist kernel loads outside the traced window
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -680,6 +698,10 @@ class TestPointGradients:
         assert value == plan.value_regularized
         assert grad_x.tobytes() == (weights.sum(axis=1)[:, None] * X - weights @ Y).tobytes()
         assert grad_y.tobytes() == (weights.sum(axis=0)[:, None] * Y - weights.T @ X).tobytes()
+
+    def test_empty_source_rejected(self):
+        with pytest.raises(ContractViolationError):
+            ot_value_and_point_grads(np.zeros((0, 3)), np.ones((4, 3)))
 
     def test_nonconvergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(16)

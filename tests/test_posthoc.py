@@ -47,6 +47,10 @@ class TestBarycentricMap:
         with pytest.raises(ContractViolationError):
             barycentric_map(np.zeros((3, 4)), np.zeros((3, 5)))
 
+    def test_empty_target_rejected(self):
+        with pytest.raises(ContractViolationError):
+            barycentric_map(np.ones((4, 3)), np.zeros((0, 3)))
+
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ContractViolationError):
             barycentric_map(np.zeros((3, 4)), np.zeros((3, 4)), epsilon=0.0)
