@@ -38,9 +38,12 @@ from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig
 _METRIC_FLAGS = {"euclidean": EUCLIDEAN, "squared": SQUARED_EUCLIDEAN}
 
 
-def _add_train_flags(p: argparse.ArgumentParser, default_method: str = "ot") -> None:
-    p.add_argument("--method", choices=["erm", "ot", "dann"], default=default_method)
-    p.add_argument("--alpha", type=float, default=0.1)
+def _add_train_flags(p: argparse.ArgumentParser, method: bool = True, alpha: bool = True, swap: bool = True) -> None:
+    """The training flags, less those the command fixes or does not read."""
+    if method:
+        p.add_argument("--method", choices=["erm", "ot", "dann"], default="ot")
+    if alpha:
+        p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=None,
                    help="absolute Sinkhorn regularization; default is cost-relative")
     p.add_argument("--seed", type=int, default=0)
@@ -50,7 +53,8 @@ def _add_train_flags(p: argparse.ArgumentParser, default_method: str = "ot") -> 
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-3)
     p.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="euclidean")
-    p.add_argument("--swap-val-test", action="store_true")
+    if swap:
+        p.add_argument("--swap-val-test", action="store_true")
     p.add_argument("--config", type=str, default=None, help="JSON file whose keys override flags")
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
@@ -80,18 +84,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
 
     p = sub.add_parser("dann", help="train the adversarial baseline (train --method dann)")
-    _add_train_flags(p, default_method="dann")
+    _add_train_flags(p, method=False)
+    p.set_defaults(method="dann")
 
-    p = sub.add_parser("sweep", help="alpha sweep across seeds")
-    _add_train_flags(p)
+    # without abbreviations, --alpha is an unknown flag here and not --alphas
+    p = sub.add_parser("sweep", help="alpha sweep across seeds", allow_abbrev=False)
+    _add_train_flags(p, alpha=False)
     p.add_argument("--alphas", type=str, default="1e-5,1e-4,1e-3,1e-2,1e-1,1")
     p.add_argument("--seeds", type=int, default=4, help="number of consecutive seeds starting at --seed")
 
     p = sub.add_parser("posthoc", help="train erm, then align frozen features")
-    _add_train_flags(p, default_method="erm")
+    _add_train_flags(p, method=False)
+    p.set_defaults(method="erm")
 
     p = sub.add_parser("swap-eval", help="swap val/test institutions and compare methods")
-    _add_train_flags(p)
+    _add_train_flags(p, method=False, swap=False)
     p.add_argument("--seeds", type=int, default=4)
 
     p = sub.add_parser("report", help="re-emit tables and plots from stored run reports")
@@ -148,8 +155,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     if args.epsilon is not None:
         sk = replace(sk, epsilon=float(args.epsilon), relative_epsilon=False)
     return TrainConfig(
-        method=args.method,
-        alpha=args.alpha,
+        method=getattr(args, "method", base.method),
+        alpha=getattr(args, "alpha", base.alpha),
         epochs=args.epochs,
         batch_size=args.batch_size,
         optimizer=OptimizerConfig(args.lr, args.momentum, args.weight_decay),
@@ -271,7 +278,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_posthoc(args) -> int:
     dataset = _load_dataset(args.data, swap=args.swap_val_test)
-    config = replace(_train_config(args), method="erm")
+    config = _train_config(args)
     report, params = train_with_model(dataset, config)
     epsilon = args.epsilon if args.epsilon is not None else posthoc_align.DEFAULT_EPSILON
     results = posthoc_align.evaluate_posthoc(
@@ -430,8 +437,6 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, parser)
-        if args.command == "dann":
-            args.method = "dann"
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help prints its text and exits 0
         return exc.code

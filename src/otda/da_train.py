@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.metric not in (EUCLIDEAN, SQUARED_EUCLIDEAN):
             raise ConfigurationError(f"unknown metric {self.metric!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -477,10 +479,21 @@ def save_report(report: RunReport, path) -> Path:
 
 
 def load_report(path) -> RunReport:
+    """The RunReport stored at path, with the fields that emit_tables reads
+    checked: a method of METHODS, a real alpha, an int seed, and val and
+    test accuracies in [0, 1]. Raises ParseError naming the file."""
     try:
-        return RunReport.from_json_dict(json.loads(Path(path).read_text()))
+        report = RunReport.from_json_dict(json.loads(Path(path).read_text()))
+        if report.config["method"] not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {report.config['method']!r}")
+        if type(report.config["alpha"]) not in (int, float) or type(report.seed) is not int:
+            raise ValueError(f"alpha must be a number and seed an integer, got {report.config['alpha']!r}, {report.seed!r}")
+        accuracies = [report.final[split]["accuracy"] for split in ("val", "test")]
+        if not all(type(acc) in (int, float) and 0 <= acc <= 1 for acc in accuracies):
+            raise ValueError(f"val and test accuracies must lie in [0, 1], got {accuracies!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: not a run report: {exc}") from exc
+    return report
 
 
 def write_epoch_csv(report: RunReport, path) -> Path:

@@ -16,7 +16,7 @@ perfectly, while a representation that keeps them degrades off-distribution.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, ParseError
+from .eval_report import write_csv
 
 SPLITS = ("train", "val", "test")
 SUBCLUSTERS_PER_CLASS = 3
@@ -72,6 +73,8 @@ class GeneratorConfig:
             raise ConfigurationError("samples_per_domain must be >= 100")
         if self.dim < 4:
             raise ConfigurationError("need at least 4 feature dimensions")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -262,20 +265,12 @@ def save(dataset: DomainDataset, path) -> None:
     """Write the samples as CSV (header domain_id,split,label,f0..f{d-1},
     floats at 9 significant digits) plus a JSON sidecar carrying metadata and
     subcluster tags."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    d = dataset.dim
-    header = ["domain_id", "split", "label"] + [f"f{j}" for j in range(d)]
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.features.shape[0]):
-            row = [
-                str(int(dataset.domain_ids[i])),
-                str(dataset.splits[i]),
-                str(int(dataset.labels[i])),
-            ] + [f"{v:.9g}" for v in dataset.features[i]]
-            writer.writerow(row)
+    header = ["domain_id", "split", "label"] + [f"f{j}" for j in range(dataset.dim)]
+    rows = (
+        [int(domain), split, int(label)] + [f"{v:.9g}" for v in x]
+        for domain, split, label, x in zip(dataset.domain_ids, dataset.splits, dataset.labels, dataset.features)
+    )
+    path = write_csv(path, itertools.chain([header], rows))
     sidecar = {
         "metadata": dataset.metadata,
         "subclusters": None if dataset.subclusters is None else dataset.subclusters.tolist(),
@@ -290,50 +285,26 @@ _LOAD_BLOCK_LINES = 128
 
 def _parse_rows(rows, d):
     """(features, labels, domain ids, splits) of the split data lines, parsed
-    and checked whole-array at a time; None when some line is malformed.
-    np.array parses the feature strings as float() does."""
-    if not set(map(len, rows)) <= {3 + d}:
-        return None
-    try:
-        domains = np.array([int(parts[0]) for parts in rows], dtype=int)
-        labels = np.array([int(parts[2]) for parts in rows], dtype=int)
-        feats = np.array([parts[3:] for parts in rows], dtype=float).reshape(len(rows), d)
-    except (ValueError, OverflowError):
-        return None
-    splits = np.array([parts[1] for parts in rows], dtype=object)
-    if not set(splits.tolist()) <= set(SPLITS):
-        return None
-    if not (np.all((labels == 0) | (labels == 1)) and np.all(np.isfinite(feats))):
-        return None
-    return feats, labels, domains, splits
-
-
-def _parse_rows_one_by_one(path, rows, d, first_lineno):
-    """_parse_rows line by line: raises ParseError naming the first
-    malformed line, counting rows[0] as line first_lineno."""
-    feats = np.empty((len(rows), d))
-    labels = np.empty(len(rows), dtype=int)
-    domains = np.empty(len(rows), dtype=int)
-    splits = np.empty(len(rows), dtype=object)
-    for i, parts in enumerate(rows):
-        lineno = first_lineno + i
-        if len(parts) != 3 + d:
-            raise ParseError(f"{path}: line {lineno}: expected {3 + d} fields, got {len(parts)}")
-        try:
-            domains[i] = int(parts[0])
-            label = int(parts[2])
-            feats[i] = [float(v) for v in parts[3:]]
-        except (ValueError, OverflowError) as exc:  # OverflowError: a domain id beyond int64
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if parts[1] not in SPLITS:
-            raise ParseError(f"{path}: line {lineno}: unknown split {parts[1]!r}")
-        if label not in (0, 1):
-            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label}")
-        if not np.all(np.isfinite(feats[i])):
-            raise ParseError(f"{path}: line {lineno}: non-finite feature value")
-        splits[i] = parts[1]
-        labels[i] = label
-    return feats, labels, domains, splits
+    and checked whole-array at a time. Raises ValueError or OverflowError
+    for the first rule that some line breaks, in the order: field count,
+    domain id, label, features, split, label range, finiteness. np.array
+    parses the feature strings as float() does."""
+    width = next((len(parts) for parts in rows if len(parts) != 3 + d), None)
+    if width is not None:
+        raise ValueError(f"expected {3 + d} fields, got {width}")
+    domains = np.array([int(parts[0]) for parts in rows], dtype=int)  # OverflowError beyond int64
+    labels = [int(parts[2]) for parts in rows]
+    feats = np.array([parts[3:] for parts in rows], dtype=float).reshape(len(rows), d)
+    splits = [parts[1] for parts in rows]
+    unknown = next((split for split in splits if split not in SPLITS), None)
+    if unknown is not None:
+        raise ValueError(f"unknown split {unknown!r}")
+    label = next((label for label in labels if label not in (0, 1)), None)
+    if label is not None:
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("non-finite feature value")
+    return feats, np.array(labels, dtype=int), domains, np.array(splits, dtype=object)
 
 
 def load(path) -> DomainDataset:
@@ -356,10 +327,16 @@ def load(path) -> DomainDataset:
     blocks = []
     for start in range(1, len(lines), _LOAD_BLOCK_LINES):
         rows = [line.split(",") for line in lines[start:start + _LOAD_BLOCK_LINES]]
-        columns = _parse_rows(rows, d)
-        if columns is None:
-            columns = _parse_rows_one_by_one(path, rows, d, first_lineno=start + 1)
-        blocks.append(columns)
+        try:
+            blocks.append(_parse_rows(rows, d))
+        except (ValueError, OverflowError) as exc:
+            # A block that fails holds a line that fails: name the first.
+            for lineno, parts in enumerate(rows, start + 1):
+                try:
+                    _parse_rows([parts], d)
+                except (ValueError, OverflowError) as line_exc:
+                    raise ParseError(f"{path}: line {lineno}: {line_exc}") from line_exc
+            raise ParseError(f"{path}: lines {start + 1}-{start + len(rows)}: {exc}") from exc
     feats, labels, domains, splits = (np.concatenate(column) for column in zip(*blocks or [_parse_rows([], d)]))
 
     subclusters = None

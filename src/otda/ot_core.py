@@ -200,21 +200,15 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
 
 
 # The finish of a solve (the rounding's rank-one correction, <gamma, C> and
-# the entropy) works through one scratch of at most this many entries
-# (512 KB), not through a second plan-sized array. A training plan (at most
-# 128 x 128) is one block.
+# the entropy) works in numpy temporaries of at most this many entries
+# (512 KB), or of one row where a row is longer, not in a second plan-sized
+# array. A training plan (at most 128 x 128) is one block.
 _FINISH_BLOCK = 1 << 16
 # np.sum of a contiguous float64 array is a pairwise tree over its memory
 # order: a span of more than this many terms splits at half its length,
 # rounded down to a multiple of 8; a shorter one is a leaf that numpy adds
 # with eight accumulators, which a block never cuts.
 _PAIRWISE_LEAF = 128
-
-
-def _finish_scratch(shape):
-    """The scratch for the finish of a plan of this shape: one block, or
-    the plan if it is smaller, but never shorter than one row."""
-    return np.empty(min(shape[0] * shape[1], max(_FINISH_BLOCK, _PAIRWISE_LEAF, shape[1])))
 
 
 def _tree_sum(terms, start, size):
@@ -231,20 +225,14 @@ def _tree_sum(terms, start, size):
 
 
 def entropy(plan) -> float:
-    """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0."""
-    gamma = np.asarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float)
-    return _entropy(gamma, _finish_scratch((gamma.size, 1)))  # the flat terms as one column
-
-
-def _entropy(gamma, scratch) -> float:
-    """entropy(gamma), with the terms g log g written block by block to
-    scratch (see _finish_scratch). The terms are summed in C order, which is
-    the order of the masked sum; an F-ordered gamma is copied for it. A zero
-    entry makes the sum NaN, and only then is the masked sum taken; a
-    negative, NaN or infinite entry raises ContractViolationError."""
-    flat = np.ascontiguousarray(gamma).reshape(-1)
+    """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0.
+    The terms g log g are made and summed a block at a time, in C order,
+    which is the order of the masked sum; an F-ordered plan is copied for
+    it. A zero entry makes the sum NaN, and only then is the masked sum
+    taken; a negative, NaN or infinite entry raises ContractViolationError."""
+    flat = np.ascontiguousarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = _tree_sum(lambda s, e: _xlogx(flat[s:e], scratch[: e - s]), 0, flat.size)
+        total = _tree_sum(lambda s, e: _xlogx(flat[s:e]), 0, flat.size)
     if np.isfinite(total):
         return float(-total)
     # min() and max() check without a boolean temporary the size of the
@@ -255,9 +243,10 @@ def _entropy(gamma, scratch) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def _xlogx(g, out):
-    np.log(g, out=out)
-    return np.multiply(g, out, out=out)
+def _xlogx(g):
+    terms = np.log(g)
+    terms *= g
+    return terms
 
 
 def marginal_residual(plan: TransportPlan, source: DiscreteDistribution, target: DiscreteDistribution) -> tuple:
@@ -339,12 +328,12 @@ def _shrink(gamma, sums, target, axis):
     return True
 
 
-def _round_to_feasible(gamma, a, b, scratch):
+def _round_to_feasible(gamma, a, b):
     """Project an almost-feasible plan onto the transport polytope, in place:
     shrink overfull rows and columns, then spread the leftover mass as a
-    rank-one correction, built block by block in scratch (see
-    _finish_scratch). The result has exact marginals (to float addition),
-    so its cost can never undercut the unregularized optimum."""
+    rank-one correction, added a block of whole rows at a time (see
+    _FINISH_BLOCK). The result has exact marginals (to float addition), so
+    its cost can never undercut the unregularized optimum."""
     rows = gamma.sum(axis=1)
     rows_moved = _shrink(gamma, rows, a, axis=1)
     cols = gamma.sum(axis=0)
@@ -357,14 +346,12 @@ def _round_to_feasible(gamma, a, b, scratch):
     missing_b = np.maximum(b - cols, 0.0)
     total = missing_a.sum()
     if total > 0:
-        # np.outer's product over total, added a block of whole rows at a time
-        n, m = gamma.shape
-        step = scratch.size // m
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            correction = np.multiply(missing_a[start:stop, None], missing_b, out=scratch[: (stop - start) * m].reshape(-1, m))
+        # np.outer's product over total
+        step = max(_FINISH_BLOCK, _PAIRWISE_LEAF, gamma.shape[1]) // gamma.shape[1]
+        for start in range(0, gamma.shape[0], step):
+            correction = missing_a[start:start + step, None] * missing_b
             correction /= total
-            gamma[start:stop] += correction
+            gamma[start:start + step] += correction
     return gamma
 
 
@@ -398,17 +385,15 @@ def sinkhorn(
     b = target.weights
     eps = config.resolve_epsilon(C)
     gamma, iters, converged = _sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
-    # One scratch serves the rounding, <gamma, C> and the entropy. numpy
-    # lays gamma * C out as gamma, so the cost sums in gamma's memory order,
-    # over flat views (C is copied only if its layout differs from gamma's);
-    # the entropy sums in C order.
-    scratch = _finish_scratch(gamma.shape)
+    # numpy lays gamma * C out as gamma, so the cost sums in gamma's memory
+    # order, over flat views (C is copied only if its layout differs from
+    # gamma's); the entropy sums in C order.
     if converged:
-        gamma = _round_to_feasible(gamma, a, b, scratch)
+        gamma = _round_to_feasible(gamma, a, b)
     g, c = (gamma.T, C.T) if gamma.flags.f_contiguous and not gamma.flags.c_contiguous else (gamma, C)
     g, c = g.reshape(-1), np.ascontiguousarray(c).reshape(-1)
-    value_cost = float(_tree_sum(lambda s, e: np.multiply(g[s:e], c[s:e], out=scratch[: e - s]), 0, g.size))
-    value_reg = value_cost - eps * _entropy(gamma, scratch)
+    value_cost = float(_tree_sum(lambda s, e: g[s:e] * c[s:e], 0, g.size))
+    value_reg = value_cost - eps * entropy(gamma)
     return TransportPlan(
         gamma=gamma,
         value_cost=value_cost,

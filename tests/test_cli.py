@@ -205,6 +205,35 @@ class TestExitCodes:
         assert payload["error"] == "ConfigurationError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--seed", "-1"],
+        *([command, "--seed", "-1", "--data", "DATA"] for command in ("train", "dann", "posthoc", "sweep", "swap-eval")),
+        # flags a command ignored, on the command line and in a config file
+        ["posthoc", "--method", "ot", "--data", "DATA"],
+        ["dann", "--method", "erm", "--data", "DATA"],
+        ["sweep", "--alpha", "7", "--data", "DATA"],
+        ["swap-eval", "--method", "dann", "--swap-val-test", "--data", "DATA"],
+        ["posthoc", "--config", {"method": "ot"}, "--data", "DATA"],
+        ["dann", "--config", {"method": "erm"}, "--data", "DATA"],
+        ["sweep", "--config", {"alpha": 7}, "--data", "DATA"],
+        ["swap-eval", "--config", {"swap_val_test": True}, "--data", "DATA"],
+    ])
+    def test_rejected_command_writes_nothing(self, data_dir, tmp_path, capsys, argv):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                config.write_text(json.dumps(arg))
+                arg = str(config)
+            args.append(str(data_dir) if arg == "DATA" else arg)
+        if argv[0] != "gen-data":
+            args += ["--epochs", "1"]
+        code = run(args + ["--out", str(out)])
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert payload["error"] == "ConfigurationError"
+        assert not out.exists()
+
     def test_bad_worker_count_is_config_error(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OTDA_THREADS", "abc")
         code = run(["sweep", "--alphas", "0.1", "--seeds", "1", "--epochs", "1",

@@ -299,6 +299,12 @@ class TestAlphaSweep:
         with pytest.raises(ConfigurationError, match="seed"):
             run_seeds(tiny_ds, config, [])
 
+    def test_negative_seed_rejected(self, tiny_ds):
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ConfigurationError, match="seed"):
+            run_seeds(tiny_ds, small_config(), [0, -1])
+
     def test_parallel_workers_match_sequential(self, tiny_ds, monkeypatch):
         config = small_config(method="ot", epochs=1)
         sequential = alpha_sweep(tiny_ds, config, [1e-3, 1e-1], seeds=[0, 1])
@@ -408,6 +414,15 @@ def run_reports(draw):
     )
 
 
+def _report_text(**change) -> str:
+    """A stored report whose top-level keys are replaced by change."""
+    split = {"accuracy": 0.5, "auc": None}
+    payload = {"config": {"method": "ot", "alpha": 0.1}, "selected_epoch": 0, "seed": 0,
+               "epochs": [{"epoch": 0, "ce_loss": 0.7, "aux_loss": 0.1, "val_accuracy": 0.5, "test_accuracy": 0.5}],
+               "final": {"val": split, "test": split, "train": split}}
+    return json.dumps({**payload, **change})
+
+
 _io_settings = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -420,6 +435,10 @@ class TestReportJsonRoundTrip:
         assert loaded.to_json_dict() == report.to_json_dict()
         assert all(e.wall_seconds == 0.0 for e in loaded.epochs)
 
+    def test_well_formed_text_loads(self, tmp_path):
+        (tmp_path / "r.json").write_text(_report_text())
+        assert load_report(tmp_path / "r.json").run_id() == "ot_a0.1_s0"
+
     @_io_settings
     @given(report=run_reports())
     def test_report_without_wall_seconds_loads(self, tmp_path, report):
@@ -429,7 +448,19 @@ class TestReportJsonRoundTrip:
         (tmp_path / "r.json").write_text(json.dumps(payload))
         assert load_report(tmp_path / "r.json").to_json_dict() == report.to_json_dict()
 
-    @pytest.mark.parametrize("text", ["not json", '{"config": {}}', '{"unknown": 1}'])
+    @pytest.mark.parametrize("text", ["not json", '{"config": {}}', '{"unknown": 1}', *(
+        # reports that emit_tables could not use
+        pytest.param(_report_text(**change), id=name) for name, change in [
+            ("no-val", {"final": {"test": {"accuracy": 0.5, "auc": None}}}),
+            ("no-test", {"final": {"val": {"accuracy": 0.5, "auc": None}}}),
+            ("string-accuracy", {"final": {split: {"accuracy": "0.5", "auc": None} for split in ("val", "test")}}),
+            ("accuracy-above-one", {"final": {split: {"accuracy": 1.5, "auc": None} for split in ("val", "test")}}),
+            ("no-method", {"config": {"alpha": 0.1}}),
+            ("unknown-method", {"config": {"method": "sgd", "alpha": 0.1}}),
+            ("string-alpha", {"config": {"method": "ot", "alpha": "0.1"}}),
+            ("string-seed", {"seed": "x"}),
+        ]
+    )])
     def test_malformed_report_is_parse_error(self, tmp_path, text):
         (tmp_path / "r.json").write_text(text)
         with pytest.raises(ParseError):

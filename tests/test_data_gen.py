@@ -1,6 +1,7 @@
 """Benchmark generator: determinism, split topology, the withheld subcluster,
 shift behavior, pinned dataset bytes, CSV round trips, and parse errors."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -47,6 +48,57 @@ def small_datasets(draw):
         subclusters=None if tags is None else np.array(tags, dtype=object),
         metadata=draw(st.dictionaries(st.text(), _JSON, max_size=3)),
     )
+
+
+def reference_save_csv(dataset, path):
+    """save's CSV as it was written through csv.writer."""
+    header = ["domain_id", "split", "label"] + [f"f{j}" for j in range(dataset.dim)]
+    with path.open("w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(dataset.features.shape[0]):
+            row = [
+                str(int(dataset.domain_ids[i])),
+                str(dataset.splits[i]),
+                str(int(dataset.labels[i])),
+            ] + [f"{v:.9g}" for v in dataset.features[i]]
+            writer.writerow(row)
+
+
+def reference_parse_rows_one_by_one(path, rows, d, first_lineno):
+    """load's check of split data lines as it was written line by line:
+    raises ParseError naming the first malformed line, counting rows[0] as
+    line first_lineno."""
+    feats = np.empty((len(rows), d))
+    labels = np.empty(len(rows), dtype=int)
+    domains = np.empty(len(rows), dtype=int)
+    splits = np.empty(len(rows), dtype=object)
+    for i, parts in enumerate(rows):
+        lineno = first_lineno + i
+        if len(parts) != 3 + d:
+            raise ParseError(f"{path}: line {lineno}: expected {3 + d} fields, got {len(parts)}")
+        try:
+            domains[i] = int(parts[0])
+            label = int(parts[2])
+            feats[i] = [float(v) for v in parts[3:]]
+        except (ValueError, OverflowError) as exc:  # OverflowError: a domain id beyond int64
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if parts[1] not in SPLITS:
+            raise ParseError(f"{path}: line {lineno}: unknown split {parts[1]!r}")
+        if label not in (0, 1):
+            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label}")
+        if not np.all(np.isfinite(feats[i])):
+            raise ParseError(f"{path}: line {lineno}: non-finite feature value")
+        splits[i] = parts[1]
+        labels[i] = label
+    return feats, labels, domains, splits
+
+
+# Field values that break one of load's rules, or look as if they might.
+_ODD_FIELDS = st.sampled_from([
+    "abc", "", " ", "nan", "-inf", "1e400", "1_0", "1__0", "1.5", "2", "-1", "0x1", "\u0661", "\u066b",
+    "99999999999999999999", "-99999999999999999999", "holdout", "train", "val", "0",
+]) | st.text(max_size=4).filter(lambda text: "," not in text and len(f"a{text}b".splitlines()) == 1)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +157,8 @@ class TestGenerate:
             GeneratorConfig(num_domains=2)
         with pytest.raises(ConfigurationError):
             GeneratorConfig(samples_per_domain=50)
+        with pytest.raises(ConfigurationError, match="seed"):
+            GeneratorConfig(seed=-1)
 
 
 class TestDigest:
@@ -121,6 +175,17 @@ class TestDigest:
         save(generate(config), path)
         written = path.read_bytes() + (tmp_path / "dataset.meta.json").read_bytes()
         assert hashlib.sha256(written).hexdigest() == digest
+
+
+class TestReferenceWriter:
+    @pytest.mark.parametrize("config", [
+        GeneratorConfig(), GeneratorConfig(seed=3, samples_per_domain=150), GeneratorConfig(num_domains=7, dim=12, seed=9),
+    ], ids=["default", "cli-fixture", "seven-domains"])
+    def test_save_writes_the_csv_writer_bytes(self, tmp_path, config):
+        dataset = generate(config)
+        save(dataset, tmp_path / "dataset.csv")
+        reference_save_csv(dataset, tmp_path / "reference.csv")
+        assert (tmp_path / "dataset.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestSwap:
@@ -199,16 +264,46 @@ class TestSaveLoad:
         ],
         ids=["non-numeric", "nan", "inf", "split", "domain", "domain-overflow", "label", "short-row"],
     )
-    @pytest.mark.parametrize("good_lines", [1, 300])
+    @pytest.mark.parametrize("good_lines", [1, 127, 128, 300])
     def test_rejection_names_the_first_bad_line(self, tmp_path, bad, message, good_lines):
-        # a later line is bad too, in another way; 300 good lines put the
-        # first bad one past load's first block of lines
+        # a later line is bad too, in another way; 127 good lines make the
+        # first bad one the last line of load's first block of 128 lines, 128
+        # the first line of the second, and 300 a line of the third
         later = "1,train,1,0.5" if bad != "1,train,0,0.5" else "1,train,0,x,1.0"
         path = tmp_path / "bad.csv"
         good = "1,train,0,0.5,1.0\n" * good_lines
         path.write_text(f"domain_id,split,label,f0,f1\n{good}{bad}\n2,val,1,0.1,0.2\n{later}\n")
         with pytest.raises(ParseError, match=f"line {good_lines + 2}: {message}"):
             load(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        good_lines=st.integers(0, 300),
+        line=st.integers(0, 301),
+        changes=st.lists(st.tuples(st.integers(0, 5), _ODD_FIELDS), min_size=1, max_size=3),
+    )
+    def test_one_corrupted_line_names_it_as_the_reference_does(self, tmp_path, good_lines, line, changes):
+        # each change sets a field of the line, so one line can break several
+        # rules; field 5 appends a sixth field. A line that breaks no rule
+        # loads or fails on the split topology, never as a parse error.
+        lines = ["1,train,0,0.5,1.0"] * good_lines + ["2,val,1,0.1,0.2", "3,test,0,-0.3,4"]
+        parts = lines[line % len(lines)].split(",")
+        for field, value in changes:
+            parts[field:field + 1] = [value]
+        lines[line % len(lines)] = ",".join(parts)
+        path = tmp_path / "one.csv"
+        path.write_text("domain_id,split,label,f0,f1\n" + "".join(f"{text}\n" for text in lines))
+        try:
+            reference_parse_rows_one_by_one(path, [text.split(",") for text in lines], 2, first_lineno=2)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                load(path)
+            assert str(raised.value) == str(exc)
+        else:
+            try:
+                load(path)
+            except ConfigurationError:
+                pass
 
     def test_feature_fields_parse_as_float_does(self, tmp_path):
         # underscores, blanks, signs and non-ASCII digits, as float() reads them

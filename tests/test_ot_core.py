@@ -477,7 +477,8 @@ class TestSinkhorn:
 
 
 def reference_round_to_feasible(gamma, a, b):
-    """_round_to_feasible as it was before it took a scratch buffer."""
+    """_round_to_feasible as it was before it worked in blocks: one
+    plan-sized outer product."""
     rows = gamma.sum(axis=1)
     gamma *= np.minimum(1.0, a / np.where(rows > 0, rows, 1.0))[:, None]
     cols = gamma.sum(axis=0)
@@ -491,7 +492,7 @@ def reference_round_to_feasible(gamma, a, b):
 
 
 def reference_entropy(gamma):
-    """entropy as it was before it shared a scratch: the unmasked sum for
+    """entropy as it was before it worked in blocks: the unmasked sum for
     positive plans, after a scan for the minimum."""
     if gamma.size and gamma.min() > 0:
         flat = gamma.reshape(-1)
@@ -507,7 +508,7 @@ def solver_outputs(draw):
     at zero-weight atoms. A transposed cost makes an F-ordered plan; a
     transposed cost with zero weights leaves the plan in C order. A
     300-column plan has rows longer than the small finish blocks, so its
-    finish works through a one-row scratch."""
+    rounding adds its correction a row at a time."""
     n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30) | st.just(300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_share = draw(st.sampled_from([0.0, 0.2]))

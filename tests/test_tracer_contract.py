@@ -17,6 +17,7 @@ import pytest
 
 from otda import eval_report, posthoc_align
 from otda.da_train import EpochRecord, RunReport
+from otda.data_gen import load
 from otda.eval_report import BreakdownCell, roc_auc
 from otda.ot_core import CostMatrix, DiscreteDistribution, SinkhornConfig, ot_value_and_point_grads, sinkhorn
 
@@ -47,6 +48,7 @@ def test_every_wrapped_name_is_callable(tracing):
 @pytest.mark.parametrize("function, leading", [
     (sinkhorn, ["cost", "source", "target", "config"]),
     (ot_value_and_point_grads, ["source_points", "target_points", "config", "metric"]),
+    (load, ["path"]),  # the load hook sizes the file at args[0]
 ])
 def test_hooked_arguments_keep_their_positions(function, leading):
     assert list(inspect.signature(function).parameters)[:4] == leading
