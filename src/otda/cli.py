@@ -20,12 +20,14 @@ import numpy as np
 
 from . import data_gen, eval_report, posthoc_align
 from .da_train import (
+    METHODS,
     RunReport,
     TrainConfig,
     _one_blas_thread,
+    _seed_list,
+    _train_cells,
     alpha_sweep,
     load_report,
-    run_seeds,
     save_report,
     train_with_model,
     write_epoch_csv,
@@ -41,7 +43,7 @@ _METRIC_FLAGS = {"euclidean": EUCLIDEAN, "squared": SQUARED_EUCLIDEAN}
 def _add_train_flags(p: argparse.ArgumentParser, method: bool = True, alpha: bool = True, swap: bool = True) -> None:
     """The training flags, less those the command fixes or does not read."""
     if method:
-        p.add_argument("--method", choices=["erm", "ot", "dann"], default="ot")
+        p.add_argument("--method", choices=METHODS, default="ot")
     if alpha:
         p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=None,
@@ -117,8 +119,10 @@ def _config_value(action: argparse.Action, key: str, value):
         if not isinstance(value, bool):
             raise ConfigurationError(f"config key {key!r} must be true or false, got {value!r}")
         return value
-    if value is None and action.default is None:
-        return None
+    if value is None and not action.required and action.default is None:
+        return None  # an optional flag such as --epsilon, left unset
+    if value is None:
+        raise ConfigurationError(f"config key {key!r} cannot be null")
     try:
         converted = action.type(str(value)) if action.type else str(value)
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
@@ -136,7 +140,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         overrides = json.loads(Path(args.config).read_text())
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"{args.config}: not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigurationError(f"{args.config}: config file must hold a JSON object")
@@ -174,12 +178,11 @@ def _load_dataset(path_str: str, swap: bool = False) -> data_gen.DomainDataset:
     return data_gen.swap_val_test(dataset) if swap else dataset
 
 
-def _snapshot_from_args(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
-    payload["command"] = args.command
-    if extra:
-        payload.update(extra)
-    return payload
+def _write_config(args: argparse.Namespace, config: TrainConfig | None = None) -> Path:
+    """Write <out>/config.json: the command's flags and the TrainConfig they
+    resolve to, if any. Returns the output folder."""
+    resolved = {} if config is None else {"resolved": config.snapshot()}
+    return write_json(Path(args.out) / "config.json", {**vars(args), **resolved}).parent
 
 
 def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
@@ -229,9 +232,8 @@ def _cmd_gen_data(args) -> int:
         seed=args.seed,
     )
     dataset = data_gen.generate(config)
-    out.mkdir(parents=True, exist_ok=True)
-    data_gen.save(dataset, out / "dataset.csv")
-    write_json(out / "config.json", _snapshot_from_args(args))
+    data_gen.save(dataset, out / "dataset.csv")  # creates out
+    _write_config(args)
     print(f"wrote {out / 'dataset.csv'} ({dataset.features.shape[0]} samples)")
     return 0
 
@@ -240,8 +242,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data, swap=args.swap_val_test)
     config = _train_config(args)
     report, params = train_with_model(dataset, config)
-    out = Path(args.out)
-    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    out = _write_config(args, config)
     _emit_run_outputs(out, report, params, dataset)
     final = report.final
     print(
@@ -260,8 +261,7 @@ def _cmd_sweep(args) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     config = _train_config(args)
     sweep = alpha_sweep(dataset, config, alphas, seeds)
-    out = Path(args.out)
-    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    out = _write_config(args, config)
     write_json(out / "sweep.json", sweep.to_json_dict())
     eval_report.write_alpha_table(
         sweep.alphas,
@@ -284,8 +284,7 @@ def _cmd_posthoc(args) -> int:
     results = posthoc_align.evaluate_posthoc(
         dataset, params, epsilon=epsilon, metric=_METRIC_FLAGS[args.metric]
     )
-    out = Path(args.out)
-    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    out = _write_config(args, config)
     summary = posthoc_align.posthoc_summary(results)
     write_json(out / "posthoc.json", summary)
     rows = [["split", "pre_accuracy", "post_accuracy"]]
@@ -302,23 +301,19 @@ def _cmd_posthoc(args) -> int:
 
 def _cmd_swap_eval(args) -> int:
     dataset = _load_dataset(args.data, swap=True)
-    seeds = [args.seed + i for i in range(args.seeds)]
     config = _train_config(args)
-    stats = {}
-    reports = []
-    for method in ("erm", "ot", "dann"):
-        runs = run_seeds(dataset, replace(config, method=method), seeds)
-        reports.extend(runs)
-        stats[method] = eval_report.method_stats(runs)
-    out = Path(args.out)
-    write_json(out / "config.json", _snapshot_from_args(args, {"resolved": config.snapshot()}))
+    seeds = _seed_list(range(args.seed, args.seed + args.seeds))
+    # one pool trains every (method, seed) cell; the reports come back in order
+    reports = _train_cells(dataset, [replace(config, method=m, seed=s) for m in METHODS for s in seeds])
+    stats = {m: eval_report.method_stats(reports[i * len(seeds):(i + 1) * len(seeds)]) for i, m in enumerate(METHODS)}
+    out = _write_config(args, config)
     eval_report.write_method_table(stats, out / "tables" / "swap_comparison.csv")
     for report in reports:
         save_report(report, out / f"report_{report.run_id()}.json")
     write_json(out / "swap.json", stats)
     print(
         "swapped-split test accuracy: "
-        + ", ".join(f"{m}={stats[m]['test_mean']:.3f}" for m in ("erm", "ot", "dann"))
+        + ", ".join(f"{m}={stats[m]['test_mean']:.3f}" for m in METHODS)
     )
     return 0
 

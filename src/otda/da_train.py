@@ -82,6 +82,52 @@ class TrainConfig:
         return asdict(self)
 
 
+def _number(low, high, kinds=(int, float), null=False):
+    """A field test: a JSON number of kinds in [low, high], never a bool or a
+    NaN, or null where null is set; high may be a function of the lookup."""
+    return lambda value, field: (value is None and null) or (
+        isinstance(value, kinds) and not isinstance(value, bool)
+        and low <= value <= (high(field) if callable(high) else high))
+
+
+_INT, _REAL = 2**63 - 1, float(np.finfo(float).max)
+_UNIT = ("a real in [0, 1]", _number(0, 1))
+# Each stored field of an EpochRecord and a RunReport: what it holds and a
+# test(value, field) of its JSON value, with field(name) looking up another.
+# RunReport fields are paths in the stored object; config and final may hold
+# other keys, which nothing reads.
+_EPOCH_FIELDS = {
+    "epoch": ("a 64-bit int", _number(-_INT - 1, _INT, int)),
+    "ce_loss": ("a finite real", _number(-_REAL, _REAL)),
+    "aux_loss": ("a finite real", _number(-_REAL, _REAL)),
+    "val_accuracy": _UNIT,
+    "test_accuracy": _UNIT,
+    "wall_seconds": ("a finite real >= 0", _number(0, _REAL)),  # a stored record may omit it
+}
+_REPORT_FIELDS = {
+    "seed": ("a 64-bit int >= 0", _number(0, _INT, int)),
+    "epochs": ("a non-empty list of epoch records", lambda value, field: isinstance(value, list) and value != []),
+    "selected_epoch": ("the index of an epoch", _number(0, lambda field: len(field("epochs")) - 1, int)),
+    "config.method": (f"one of {METHODS}", lambda value, field: isinstance(value, str) and value in METHODS),
+    "config.alpha": ("a finite real >= 0", _number(0, _REAL)),
+    "final.val.accuracy": _UNIT,
+    "final.val.auc": ("null or a real in [0, 1]", _number(0, 1, null=True)),
+    "final.test.accuracy": _UNIT,
+    "final.test.auc": ("null or a real in [0, 1]", _number(0, 1, null=True)),
+}
+
+
+def _check_fields(fields: dict, field) -> None:
+    """Raise ContractViolationError at the first field missing or failing its test."""
+    for name, (holds, test) in fields.items():
+        try:
+            value = field(name)
+        except (KeyError, TypeError):
+            raise ContractViolationError(f"{name} is missing") from None
+        if not test(value, field):
+            raise ContractViolationError(f"{name} must be {holds}, got {value!r}")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -92,11 +138,7 @@ class EpochRecord:
     wall_seconds: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.ce_loss) and np.isfinite(self.aux_loss)):
-            raise ContractViolationError("epoch losses must be finite")
-        for acc in (self.val_accuracy, self.test_accuracy):
-            if not (0.0 <= acc <= 1.0):
-                raise ContractViolationError("accuracies must lie in [0, 1]")
+        _check_fields(_EPOCH_FIELDS, functools.partial(getattr, self))
 
 
 @dataclass
@@ -116,10 +158,6 @@ class RunReport:
         for record in payload["epochs"]:
             record["wall_seconds"] = 0.0
         return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "RunReport":
-        return cls(**{**payload, "epochs": [EpochRecord(**e) for e in payload["epochs"]]})
 
 
 def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
@@ -275,9 +313,6 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     x_train, y_train = dataset.split_arrays("train")
     x_val, y_val = dataset.split_arrays("val")
     x_test, y_test = dataset.split_arrays("test")
-    for name, x in (("train", x_train), ("val", x_val), ("test", x_test)):
-        if len(x) == 0:
-            raise ConfigurationError(f"{name} split is empty")
 
     params = init_model(
         input_dim=dataset.dim,
@@ -479,21 +514,15 @@ def save_report(report: RunReport, path) -> Path:
 
 
 def load_report(path) -> RunReport:
-    """The RunReport stored at path, with the fields that emit_tables reads
-    checked: a method of METHODS, a real alpha, an int seed, and val and
-    test accuracies in [0, 1]. Raises ParseError naming the file."""
+    """The RunReport stored at path, its fields checked against the table
+    (_REPORT_FIELDS, and _EPOCH_FIELDS for each epoch record). Raises
+    ParseError naming the file."""
     try:
-        report = RunReport.from_json_dict(json.loads(Path(path).read_text()))
-        if report.config["method"] not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {report.config['method']!r}")
-        if type(report.config["alpha"]) not in (int, float) or type(report.seed) is not int:
-            raise ValueError(f"alpha must be a number and seed an integer, got {report.config['alpha']!r}, {report.seed!r}")
-        accuracies = [report.final[split]["accuracy"] for split in ("val", "test")]
-        if not all(type(acc) in (int, float) and 0 <= acc <= 1 for acc in accuracies):
-            raise ValueError(f"val and test accuracies must lie in [0, 1], got {accuracies!r}")
-    except (ValueError, KeyError, TypeError) as exc:
+        payload = json.loads(Path(path).read_text())
+        _check_fields(_REPORT_FIELDS, lambda name: functools.reduce(dict.__getitem__, name.split("."), payload))
+        return RunReport(**{**payload, "epochs": [EpochRecord(**record) for record in payload["epochs"]]})
+    except (ValueError, TypeError, RecursionError, ContractViolationError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"{path}: not a run report: {exc}") from exc
-    return report
 
 
 def write_epoch_csv(report: RunReport, path) -> Path:

@@ -345,7 +345,7 @@ def load(path) -> DomainDataset:
     if meta_path.exists():
         try:
             sidecar = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ParseError(f"{meta_path}: not valid JSON: {exc}") from exc
         if not isinstance(sidecar, dict):
             raise ParseError(f"{meta_path}: expected a JSON object, got {type(sidecar).__name__}")

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from otda.data_gen import GeneratorConfig, generate, swap_val_test
-from otda.da_train import TrainConfig, _openblas_function, alpha_sweep, run_seeds
+from otda.da_train import TrainConfig, _openblas_function, _train_cells, alpha_sweep
 
 ACCEPTANCE_SEEDS = (0, 1, 2, 3)
 ALPHA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -29,13 +29,15 @@ def small_dataset():
 
 def _pooled_runs(dataset, methods):
     """(report, params) per seed for each method at the default alpha,
-    trained on two pool workers like sweep_result."""
+    trained in one pool of two workers like sweep_result."""
+    configs = [
+        TrainConfig(method=method, alpha=DEFAULT_ALPHA, seed=seed) for method in methods for seed in ACCEPTANCE_SEEDS
+    ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("OTDA_THREADS", "2")
-        return {
-            method: run_seeds(dataset, TrainConfig(method=method, alpha=DEFAULT_ALPHA), ACCEPTANCE_SEEDS, keep_params=True)
-            for method in methods
-        }
+        runs = _train_cells(dataset, configs, keep_params=True)
+    n = len(ACCEPTANCE_SEEDS)
+    return {method: runs[i * n:(i + 1) * n] for i, method in enumerate(methods)}
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,9 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,10 +19,10 @@ from hypothesis import strategies as st
 from helpers import cap_training_solver_at_one_iteration, record_blas_threads
 from otda import data_gen, posthoc_align
 from otda.cli import _apply_config_file, build_parser, run
-from otda.errors import ConfigurationError
+from otda.errors import ConfigurationError, ParseError
 from otda.da_train import load_report
 from otda.data_gen import DomainDataset
-from otda.eval_report import emit_tables
+from otda.eval_report import emit_tables, method_stats
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +128,10 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "ConfigurationError"
 
-    @pytest.mark.parametrize("sidecar", ["[]", '{"subclusters": 5}', '{"metadata": 5}'])
+    @pytest.mark.parametrize("sidecar", [
+        "[]", '{"subclusters": 5}', '{"metadata": 5}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+    ])
     def test_malformed_sidecar_is_parse_error(self, data_dir, tmp_path, capsys, sidecar):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -244,12 +249,12 @@ class TestExitCodes:
         assert "OTDA_THREADS" in payload["message"]
 
 
-def _train_flags():
+def _flags(command):
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a for a in commands.choices["train"]._actions if a.dest not in ("help", "config")}
+    return {a.dest: a for a in commands.choices[command]._actions if a.dest not in ("help", "config")}
 
 
-_TRAIN_FLAGS = _train_flags()
+_TRAIN_FLAGS = _flags("train")
 _REJECTED = object()
 _config_values = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -264,15 +269,15 @@ class TestConfigFileParsing:
     def test_value_is_what_its_flag_makes_of_it(self, dest, hyphens, value):
         # {"key": value} in a config file ends as --key=<str(value)> ends on
         # the command line: the same value, or ConfigurationError and exit 1.
-        # A switch takes only true or false; null keeps a flag whose default
-        # is null.
+        # A switch takes only true or false; null keeps an optional flag
+        # whose default is null, and no other flag takes it.
         action = _TRAIN_FLAGS[dest]
         parser = build_parser()
         argv = ["train", "--data", "d", "--out", "o"]
         if action.nargs == 0:
             expected = value if isinstance(value, bool) else _REJECTED
-        elif value is None and action.default is None:
-            expected = None
+        elif value is None:
+            expected = None if action.default is None and not action.required else _REJECTED
         else:
             try:
                 expected = getattr(parser.parse_args(argv + [f"{action.option_strings[0]}={value}"]), dest)
@@ -297,6 +302,279 @@ class TestConfigFileParsing:
                 assert isinstance(got, float) and math.isnan(got)
             else:
                 assert got == expected and type(got) is type(expected)
+
+
+def _reads(convert, value) -> bool:
+    try:
+        convert(str(value))
+    except ValueError:
+        return False
+    return True
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=4,
+)
+_tiny = sys.float_info.min
+# Numbers each flag reads but refuses: its command exits 1 before it trains
+# or generates anything.
+_OUT_OF_RANGE = {
+    "seed": st.integers(max_value=-1),
+    "epochs": st.integers(max_value=0),
+    "batch_size": st.integers(max_value=0),
+    "seeds": st.integers(max_value=0),
+    "samples_per_domain": st.integers(max_value=99),
+    "num_domains": st.integers(max_value=2),
+    "dim": st.integers(max_value=3),
+    "alpha": st.floats(max_value=-_tiny) | st.integers(max_value=-1),
+    "epsilon": st.floats(max_value=0.0) | st.integers(max_value=0),
+    "lr": st.floats(max_value=0.0) | st.integers(max_value=0),
+    "momentum": st.floats(min_value=1.0) | st.floats(max_value=-_tiny) | st.integers(min_value=1),
+    "weight_decay": st.floats(max_value=-_tiny) | st.integers(max_value=-1),
+    "alphas": st.sampled_from(["", "x", "0.1,,y", "-1", "0.1,nan", "inf"]),
+}
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _refused(dest, action):
+    """Config-file values that the flag behind dest refuses: null unless the
+    flag is optional with a null default, a JSON value its converter cannot
+    read, or a number out of its range."""
+    if action.nargs == 0:  # a switch
+        return _json_values.filter(lambda v: not isinstance(v, bool))
+    null = st.none() if action.required or action.default is not None else st.nothing()
+    if action.choices is not None:
+        return null | _json_values.filter(lambda v: v is not None and str(v) not in action.choices)
+    out_of_range = _OUT_OF_RANGE.get(dest, st.nothing())
+    if action.type is float:
+        out_of_range |= _NON_FINITE
+    if action.type in (int, float):
+        return null | out_of_range | _json_values.filter(lambda v: v is not None and not _reads(action.type, v))
+    if dest == "alphas":  # a str flag; bool, list and object values are not float lists
+        out_of_range |= _json_values.filter(lambda v: isinstance(v, (bool, list, dict)))
+    return null | out_of_range
+
+
+_FUZZED = {command: _flags(command) for command in ("train", "sweep", "gen-data")}
+_FUZZED_KEYS = [(command, dest) for command, flags in _FUZZED.items() for dest in sorted(flags)]
+
+
+class TestRefusedConfigValues:
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(_FUZZED_KEYS), hyphens=st.booleans(), data=st.data())
+    def test_refused_value_exits_one_and_writes_nothing(self, data_dir, key, hyphens, data):
+        command, dest = key
+        value = data.draw(_refused(dest, _FUZZED[command][dest]), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            config.write_text(json.dumps({dest.replace("_", "-") if hyphens else dest: value}))
+            argv = [command, "--out", str(out), "--config", str(config)]
+            if command != "gen-data":
+                argv += ["--data", str(data_dir)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+            assert code == 1
+            (line,) = stderr.getvalue().splitlines()
+            assert set(json.loads(line)) >= {"error", "message"}
+            assert not out.exists()
+
+    def test_json_nested_too_deep_is_parse_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["gen-data", "--out", str(tmp_path / "out"), "--config", str(config)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key", [("train", "out"), ("train", "data"), ("gen-data", "out")])
+    def test_null_required_flag_is_config_error(self, data_dir, tmp_path, capsys, command, key):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({key: None}))
+        argv = [command, "--out", str(out), "--config", str(config)]
+        if command == "train":
+            argv += ["--data", str(data_dir)]
+        assert run(argv) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigurationError" and repr(key) in payload["message"]
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def train_report(data_dir, tmp_path_factory):
+    """The text of a real two-epoch `train` report."""
+    out = tmp_path_factory.mktemp("report") / "run"
+    assert run(small_train_args(data_dir, out)) == 0
+    return (out / "report_ot_a0.05_s0.json").read_text()
+
+
+_INT64 = (-(2**63), 2**63 - 1)
+_RECORD_KEYS = {"epoch", "ce_loss", "aux_loss", "val_accuracy", "test_accuracy"}
+
+
+def _int(value, low, high) -> bool:
+    return type(value) is int and max(low, _INT64[0]) <= value <= min(high, _INT64[1])
+
+
+def _real(value, low=-sys.float_info.max, high=sys.float_info.max) -> bool:
+    # a JSON number held by a finite float64; a NaN fails the comparison
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max and low <= value <= high
+
+
+def _record_allowed(record) -> bool:
+    return (
+        type(record) is dict and _RECORD_KEYS <= set(record) <= _RECORD_KEYS | {"wall_seconds"}
+        and _int(record["epoch"], *_INT64)
+        and _real(record["ce_loss"]) and _real(record["aux_loss"])
+        and _real(record["val_accuracy"], 0, 1) and _real(record["test_accuracy"], 0, 1)
+        and _real(record.get("wall_seconds", 0.0), 0)
+    )
+
+
+def _table_allows(report) -> bool:
+    """The field table of README's "Output layout", field by field: what
+    otda report must take, and nothing else."""
+    if type(report) is not dict or set(report) != {"config", "epochs", "selected_epoch", "final", "seed"}:
+        return False
+    config, epochs, final = report["config"], report["epochs"], report["final"]
+    splits = [final.get(split) if type(final) is dict else None for split in ("val", "test")]
+    return (
+        _int(report["seed"], 0, math.inf)
+        and type(epochs) is list and len(epochs) > 0 and all(map(_record_allowed, epochs))
+        and _int(report["selected_epoch"], 0, len(epochs) - 1)
+        and type(config) is dict and config.get("method") in ("erm", "ot", "dann") and _real(config.get("alpha"), 0)
+        and all(type(split) is dict and _real(split.get("accuracy"), 0, 1)
+                and "auc" in split and (split["auc"] is None or _real(split["auc"], 0, 1)) for split in splits)
+    )
+
+
+_DELETE = object()
+# Every field of the stored report, its containers, a key the reader does
+# not know at each level, and keys of config and final that nothing reads.
+_REPORT_PATHS = [
+    ("seed",), ("selected_epoch",), ("epochs",), ("config",), ("final",), ("extra",),
+    ("config", "method"), ("config", "alpha"), ("config", "epochs"), ("config", "extra"),
+    *(("final", split) for split in ("val", "test", "train")),
+    *(("final", split, key) for split in ("val", "test", "train") for key in ("accuracy", "auc")),
+    *(("epochs", i) for i in (0, 1, 2)),
+    *(("epochs", i, key) for i in (0, 1) for key in (*sorted(_RECORD_KEYS), "wall_seconds", "extra")),
+]
+# Values at the edges of the table's types and ranges.
+_EDGES = [
+    _DELETE, None, True, False, 0, 1, -1, 2, 99, 0.0, -0.0, 0.5, 1.0, 1.5, 2**63 - 1, 2**63, -(2**63),
+    -(2**63) - 1, 10**400, sys.float_info.max, -sys.float_info.max, math.nan, math.inf, -math.inf,
+    "", "x", "0.5", "erm", "ot", "dann", [], {}, [1], {"accuracy": 0.5, "auc": None},
+]
+_records = st.fixed_dictionaries(
+    {"epoch": st.integers(-2, 3), "ce_loss": st.floats(-1e3, 1e3), "aux_loss": st.floats(-1e3, 1e3),
+     "val_accuracy": st.floats(0, 1), "test_accuracy": st.floats(0, 1)},
+    optional={"wall_seconds": st.floats(0, 1e3)},
+)
+_report_values = (
+    st.sampled_from(_EDGES) | _json_values
+    | st.fixed_dictionaries({"accuracy": _json_values | st.floats(0, 1), "auc": _json_values | st.floats(0, 1)})
+    | _records | st.lists(_records, max_size=3)
+)
+
+
+def _changed(text, path, value):
+    """The report in text with the field at path replaced by value (deleted
+    for _DELETE)."""
+    report = json.loads(text)
+    *parents, last = path
+    holder = report
+    for key in parents:
+        holder = holder[key]
+    if value is _DELETE:
+        if type(holder) is dict:
+            holder.pop(last, None)
+        elif last < len(holder):
+            del holder[last]
+    elif type(holder) is list and last >= len(holder):
+        holder.append(value)
+    else:
+        holder[last] = value
+    return report
+
+
+def _run_report(runs, out) -> tuple:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(["report", "--data", str(runs), "--out", str(out)])
+    return code, stderr.getvalue()
+
+
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestReportFieldTable:
+    """`otda report` on a real train report with one field changed: a value
+    the field table allows is plotted and tabled, twice with the same bytes;
+    any other ends in exit 1 and a ParseError that names the file."""
+
+    def _check(self, report):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = Path(tmp) / "runs"
+            runs.mkdir()
+            path = runs / "report_x.json"
+            path.write_text(json.dumps(report))
+            code, err = _run_report(runs, Path(tmp) / "a")
+            if _table_allows(report):
+                assert (code, err) == (0, "")
+                assert _run_report(runs, Path(tmp) / "b") == (0, "")
+                assert _tree(Path(tmp) / "a") == _tree(Path(tmp) / "b")
+            else:
+                assert code == 1
+                (line,) = err.splitlines()
+                payload = json.loads(line)
+                assert payload["error"] == "ParseError"
+                assert payload["message"].startswith(f"{path}: not a run report: ")
+                assert not (Path(tmp) / "a").exists()
+
+    def test_the_real_report_loads(self, train_report):
+        assert _table_allows(json.loads(train_report))
+        self._check(json.loads(train_report))
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(_REPORT_PATHS), value=_report_values)
+    def test_one_changed_field(self, train_report, path, value):
+        self._check(_changed(train_report, path, value))
+
+    def test_every_field_at_every_edge(self, train_report, tmp_path):
+        # load_report, without the CLI around it, for speed
+        path = tmp_path / "report_x.json"
+        for field_path in _REPORT_PATHS:
+            for value in _EDGES:
+                report = _changed(train_report, field_path, value)
+                path.write_text(json.dumps(report))
+                if _table_allows(report):
+                    assert emit_tables([load_report(path)], tmp_path / "out"), (field_path, value)
+                else:
+                    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not a run report: "):
+                        load_report(path)
+
+    def test_json_nested_too_deep_is_parse_error(self, tmp_path):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "report_x.json").write_text("[" * 100_000 + "]" * 100_000)
+        code, err = _run_report(runs, tmp_path / "out")
+        assert code == 1 and json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("epochs", 0, "epoch"), "x", id="string-epoch"),
+        pytest.param(("config", "alpha"), math.nan, id="nan-alpha"),
+        pytest.param(("final", "val", "auc"), "x", id="string-auc"),
+        pytest.param(("seed",), -3, id="negative-seed"),
+        pytest.param(("selected_epoch",), 99, id="selected-epoch-past-the-last"),
+        pytest.param(("epochs",), [], id="empty-epochs"),
+        pytest.param(("epochs",), {}, id="epochs-object"),
+    ])
+    def test_hole_is_parse_error(self, train_report, path, value):
+        report = _changed(train_report, path, value)
+        assert len(json.loads(train_report)["epochs"]) == 2 and not _table_allows(report)
+        self._check(report)
 
 
 class TestBlasScope:
@@ -359,11 +637,19 @@ class TestOtherCommands:
         sweep = json.loads((out / "sweep.json").read_text())
         assert sweep["selected_alpha"] in (1e-3, 1e-1)
 
-    def test_swap_eval(self, data_dir, tmp_path):
+    def test_swap_eval(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("OTDA_THREADS", "2")
         out = tmp_path / "swap"
-        assert run(["swap-eval", "--data", str(data_dir), "--out", str(out), "--seeds", "1", "--epochs", "1"]) == 0
+        assert run(["swap-eval", "--data", str(data_dir), "--out", str(out), "--seeds", "2", "--epochs", "1"]) == 0
         table = (out / "tables" / "swap_comparison.csv").read_text().splitlines()
         assert table[0] == "metric,erm,ot,dann"
+        # one pool of two workers trains all six runs; each method's statistics
+        # come from its own two
+        stats = json.loads((out / "swap.json").read_text())
+        for method in ("erm", "ot", "dann"):
+            reports = [load_report(p) for p in sorted(out.glob(f"report_{method}_*.json"))]
+            assert [r.seed for r in reports] == [0, 1]
+            assert stats[method] == method_stats(reports)
 
     def test_report_reemission(self, data_dir, tmp_path):
         run_dir = tmp_path / "r"
