@@ -204,7 +204,7 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
     curves = {}
     for split in ("val", "test"):
         x, y = dataset.split_arrays(split)
-        features, _ = forward_features(params, x)
+        features, _ = forward_features(params, x, keep_trace=False)
         logits = forward_classifier(params, features)
         if report.final[split]["auc"] is not None:
             curves[split] = roc_auc(eval_report.softmax_scores(logits), y)

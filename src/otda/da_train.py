@@ -161,7 +161,7 @@ class RunReport:
 
 
 def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
-    features, _ = forward_features(params, X)
+    features, _ = forward_features(params, X, keep_trace=False)
     logits = forward_classifier(params, features)
     acc = accuracy(logits, y)
     auc = None
@@ -323,8 +323,9 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     n_train, n_val = len(x_train), len(x_val)
 
     records = []
-    finals = []
-    snapshots = []
+    # (epoch, params, {"val": ..., "test": ...}) of the first epoch with the
+    # best val accuracy; sgd_step never mutates its input, so params stay put
+    best = None
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         perm = rng.permutation(n_train)
@@ -358,12 +359,10 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 wall_seconds=time.perf_counter() - t0,
             )
         )
-        finals.append({"val": val_metrics, "test": test_metrics})
-        snapshots.append(params)  # sgd_step never mutates its input
+        if best is None or val_metrics["accuracy"] > best[2]["val"]["accuracy"]:
+            best = (epoch, params, {"val": val_metrics, "test": test_metrics})
 
-    selected = int(np.argmax([r.val_accuracy for r in records]))
-    best_params = snapshots[selected]
-    final = dict(finals[selected])
+    selected, best_params, final = best
     final["train"] = evaluate_split(best_params, x_train, y_train)
     report = RunReport(
         config=config.snapshot(),

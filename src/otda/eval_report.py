@@ -231,6 +231,7 @@ def write_embedding_csv(projection, labels, domain_ids, path) -> Path:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+_QUARTER_MAX = float(np.finfo(float).max) / 4
 
 
 def _ticks(lo: float, hi: float):
@@ -247,21 +248,24 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
     if not xs_all:
         raise ContractViolationError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    # The y axis is laid out in quarters of the values: a power of two scales
+    # exactly, so ordinary plots keep their bytes, and the padded span of any
+    # two doubles stays finite. Tick labels scale back.
+    y_lo, y_hi = min(ys_all) / 4, max(ys_all) / 4
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + 0.25
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = max(y_lo - pad, -_QUARTER_MAX), min(y_hi + pad, _QUARTER_MAX)
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
     def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y):
-        return _MT + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+    def sy(q):  # q: a value's quarter
+        return _MT + plot_h - (q - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -284,7 +288,7 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="#333"/>')
         parts.append(
             f'<text x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{ty:.3g}</text>'
+            f'font-family="sans-serif" font-size="11">{4 * ty:.3g}</text>'
         )
     parts.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
@@ -296,7 +300,7 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
     )
     for i, (name, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{sx(x):.2f},{sy(y / 4):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')

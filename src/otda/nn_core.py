@@ -3,9 +3,10 @@ dense / per-sample-normalization / ReLU blocks, dense classification heads,
 cross-entropy, hand-written backpropagation, and SGD with momentum.
 
 Everything is plain float64 numpy. Forward passes retain what the backward
-pass needs; gradients are exact (finite-difference checked in the tests).
-Normalization repeats the steps of np.mean and np.var, so it matches them
-bit for bit while making fewer passes over each block.
+pass needs, unless the caller only wants the features; gradients are exact
+(finite-difference checked in the tests). Normalization repeats the steps
+of np.mean and np.var, so it matches them bit for bit while making fewer
+passes over each block.
 """
 
 from __future__ import annotations
@@ -227,29 +228,35 @@ def _normalize_rows(z: np.ndarray, squares: np.ndarray | None = None):
     return z, scale, floored
 
 
-def forward_features(params: ModelParams, inputs: np.ndarray) -> tuple:
+def forward_features(params: ModelParams, inputs: np.ndarray, keep_trace: bool = True) -> tuple:
     """Run the featurizer: dense -> per-sample normalization -> ReLU per block.
 
-    Returns (features, trace); the trace feeds backward().
+    Returns (features, trace); the trace feeds backward(). With keep_trace
+    off the trace is None and each block's arrays are dropped before the
+    next block starts, so a pass holds at most one block's input,
+    pre-activation and output; the features are the same bytes.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ContractViolationError(
             f"inputs of shape {x.shape} do not match featurizer input width {params.input_dim}"
         )
-    trace = ForwardTrace(inputs=[], normalized=[], scales=[], floored=[], features=None)
+    trace = ForwardTrace(inputs=[], normalized=[], scales=[], floored=[], features=None) if keep_trace else None
     for layer in params.featurizer:
-        trace.inputs.append(x)
         z = x @ layer.weight
         z += layer.bias
         # the squares' buffer becomes the block's output
-        x = np.empty_like(z)
-        y, scale, floored = _normalize_rows(z, squares=x)
-        trace.normalized.append(y)
-        trace.scales.append(scale)
-        trace.floored.append(floored)
-        np.maximum(y, 0.0, out=x)
-    trace.features = x
+        out = np.empty_like(z)
+        y, scale, floored = _normalize_rows(z, squares=out)
+        if trace is not None:
+            trace.inputs.append(x)
+            trace.normalized.append(y)
+            trace.scales.append(scale)
+            trace.floored.append(floored)
+        x = np.maximum(y, 0.0, out=out)
+        del z, y  # untraced, the pre-activation is freed before the next block allocates
+    if trace is not None:
+        trace.features = x
     return x, trace
 
 
@@ -502,7 +509,7 @@ def load_checkpoint(path) -> ModelParams:
     where = str(path)
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"{where}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{where}: not a checkpoint file (a JSON {type(payload).__name__}, not an object)")

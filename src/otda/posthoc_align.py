@@ -98,6 +98,9 @@ def evaluate_posthoc(
     {"val": AlignmentResult, "test": ...}.
     """
     x_train, _ = dataset.split_arrays("train")
+    # These passes keep the traces they never read: untraced, they left
+    # glibc's heap laid out so that the solves below peaked about 3 MB higher
+    # in RSS (perfbench cli-posthoc 76.5 -> 79.8 MB).
     source_features, _ = forward_features(erm_params, x_train)
     if source_features.shape[0] > MAX_SOURCE_ROWS:
         rng = np.random.default_rng([SUBSAMPLE_SEED, 3])

@@ -10,6 +10,7 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -561,6 +562,18 @@ class TestReportFieldTable:
         (runs / "report_x.json").write_text("[" * 100_000 + "]" * 100_000)
         code, err = _run_report(runs, tmp_path / "out")
         assert code == 1 and json.loads(err)["error"] == "ParseError"
+
+    def test_losses_at_the_double_range_plot_without_nan(self, train_report, tmp_path):
+        report = _changed(train_report, ("epochs", 0, "ce_loss"), 1.7e308)
+        report["epochs"][1]["aux_loss"] = -1.7e308
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "report_x.json").write_text(json.dumps(report))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _run_report(runs, tmp_path / "out") == (0, "")
+        (svg,) = (tmp_path / "out" / "plots").glob("curves_*.svg")
+        assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
 
     @pytest.mark.parametrize("path, value", [
         pytest.param(("epochs", 0, "epoch"), "x", id="string-epoch"),

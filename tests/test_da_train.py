@@ -3,6 +3,7 @@ composite-loss gradcheck, determinism, leakage, early stopping, and sweeps."""
 
 import json
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import otda.da_train
 from helpers import (
     cap_training_solver_at_one_iteration,
     central_diff,
@@ -33,6 +35,7 @@ from otda.da_train import (
     composite_loss_and_grads,
     composite_loss_step,
     dann_step,
+    evaluate_split,
     load_report,
     run_seeds,
     save_report,
@@ -241,6 +244,21 @@ class TestTrain:
         best = max(r.val_accuracy for r in report.epochs)
         assert report.epochs[report.selected_epoch].val_accuracy == best
 
+    def test_val_accuracy_tie_keeps_the_first_epoch(self, tiny_ds, monkeypatch):
+        # val then test accuracy of each epoch, then the selected params' train accuracy
+        accuracies = iter([0.5, 0.2, 0.7, 0.4, 0.7, 0.6, 0.6, 0.8, 0.7, 1.0, 0.9])
+        evaluated = []
+
+        def scripted(params, X, y):
+            evaluated.append(params)
+            return {"accuracy": next(accuracies), "auc": None}
+
+        monkeypatch.setattr(otda.da_train, "evaluate_split", scripted)
+        report, params = train_with_model(tiny_ds, small_config(epochs=5))
+        assert [r.val_accuracy for r in report.epochs] == [0.5, 0.7, 0.7, 0.6, 0.7]
+        assert report.selected_epoch == 1 and params is evaluated[2] and evaluated[-1] is params
+        assert [report.final[split]["accuracy"] for split in ("val", "test", "train")] == [0.7, 0.4, 0.9]
+
     def test_full_run_erm_degeneracy(self, tiny_ds):
         erm = train_with_model(tiny_ds, small_config(method="erm", alpha=0.0, epochs=3))[1]
         ot = train_with_model(tiny_ds, small_config(method="ot", alpha=0.0, epochs=3))[1]
@@ -249,6 +267,22 @@ class TestTrain:
         assert params_equal(erm.classifier, ot.classifier)
         assert params_equal(erm.featurizer, dann.featurizer)
         assert params_equal(erm.classifier, dann.classifier)
+
+
+class TestEvaluateSplit:
+    def test_untraced_pass_holds_three_block_arrays(self):
+        rng = np.random.default_rng(0)
+        params = init_model(8, seed=0)
+        x, y = rng.standard_normal((1800, 8)), rng.integers(0, 2, 1800)
+        expected = evaluate_split(params, x, y)  # first call loads what it imports
+        tracemalloc.start()
+        try:
+            assert evaluate_split(params, x, y) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 1800 * 64 * 8  # the widest block array: 1800 rows of 64 doubles
+        assert peak <= 3 * block + 256 * 1024
 
 
 class TestSolverFailures:
@@ -318,8 +352,6 @@ class TestAlphaSweep:
 def _cell_blas_threads(config):
     """In a pool worker: train one cell on the worker's dataset and return
     the BLAS thread counts its featurizer calls ran at."""
-    import otda.da_train
-
     with pytest.MonkeyPatch.context() as mp:
         seen = record_blas_threads(mp, otda.da_train, "forward_features", _openblas_function("get_num_threads"))
         otda.da_train._sweep_cell(config)

@@ -255,6 +255,43 @@ def backward_cases(draw):
     return params, x, feature_grads, logit_grads
 
 
+def scale_to_floor(params, x, rows):
+    """Scale x's rows (in place) so that their first block's variance lands
+    on VARIANCE_FLOOR, to either side by rounding: init_model's biases are
+    zero, so the variance scales with the square of the row."""
+    variance = (x @ params.featurizer[0].weight).var(axis=1)
+    rows = [i for i in rows if variance[i] > 0]
+    x[rows] *= np.sqrt(VARIANCE_FLOOR / variance[rows])[:, None]
+
+
+@st.composite
+def untraced_cases(draw):
+    """(params, inputs) of backward_cases, some rows scaled to the floor."""
+    params, x, _, _ = draw(backward_cases())
+    scale_to_floor(params, x, draw(st.lists(st.integers(0, len(x) - 1), max_size=len(x))))
+    return params, x
+
+
+class TestUntracedForward:
+    @settings(max_examples=200, deadline=None)
+    @given(case=untraced_cases())
+    def test_same_feature_bytes_and_no_trace(self, case):
+        params, x = case
+        traced, trace = forward_features(params, x)
+        untraced, none = forward_features(params, x, keep_trace=False)
+        assert none is None and trace is not None
+        assert untraced.tobytes() == traced.tobytes()
+
+    def test_scaled_rows_sit_on_both_sides_of_the_floor(self):
+        params = tiny_model(seed=1)
+        x = np.random.default_rng(1).standard_normal((64, 4))
+        scale_to_floor(params, x, range(64))
+        variance = (x @ params.featurizer[0].weight).var(axis=1)
+        assert np.abs(variance / VARIANCE_FLOOR - 1).max() <= 1e-12
+        _, trace = forward_features(params, x)
+        assert 0 < trace.floored[0].sum() < len(x)
+
+
 class TestBackward:
     @settings(max_examples=200, deadline=None)
     @given(case=backward_cases())
@@ -456,6 +493,12 @@ class TestCheckpoint:
         path = tmp_path / "garbage.json"
         path.write_text("not json")
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_json_nested_too_deep_is_parse_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="not valid JSON"):
             load_checkpoint(path)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
