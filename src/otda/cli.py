@@ -178,11 +178,12 @@ def _load_dataset(path_str: str, swap: bool = False) -> data_gen.DomainDataset:
     return data_gen.swap_val_test(dataset) if swap else dataset
 
 
-def _write_config(args: argparse.Namespace, config: TrainConfig | None = None) -> Path:
-    """Write <out>/config.json: the command's flags and the TrainConfig they
-    resolve to, if any. Returns the output folder."""
-    resolved = {} if config is None else {"resolved": config.snapshot()}
-    return write_json(Path(args.out) / "config.json", {**vars(args), **resolved}).parent
+def _write_config(args: argparse.Namespace, resolved: dict | None = None) -> Path:
+    """Write <out>/config.json: the command's flags and, if given, the
+    snapshot of the TrainConfig they resolve to (swap-eval: one per method).
+    Returns the output folder."""
+    extra = {} if resolved is None else {"resolved": resolved}
+    return write_json(Path(args.out) / "config.json", {**vars(args), **extra}).parent
 
 
 def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
@@ -242,7 +243,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data, swap=args.swap_val_test)
     config = _train_config(args)
     report, params = train_with_model(dataset, config)
-    out = _write_config(args, config)
+    out = _write_config(args, config.snapshot())
     _emit_run_outputs(out, report, params, dataset)
     final = report.final
     print(
@@ -261,7 +262,7 @@ def _cmd_sweep(args) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     config = _train_config(args)
     sweep = alpha_sweep(dataset, config, alphas, seeds)
-    out = _write_config(args, config)
+    out = _write_config(args, config.snapshot())
     write_json(out / "sweep.json", sweep.to_json_dict())
     eval_report.write_alpha_table(
         sweep.alphas,
@@ -284,8 +285,11 @@ def _cmd_posthoc(args) -> int:
     results = posthoc_align.evaluate_posthoc(
         dataset, params, epsilon=epsilon, metric=_METRIC_FLAGS[args.metric]
     )
-    out = _write_config(args, config)
-    summary = posthoc_align.posthoc_summary(results)
+    out = _write_config(args, config.snapshot())
+    summary = {
+        split: {"pre_accuracy": r.pre_accuracy, "post_accuracy": r.post_accuracy}
+        for split, r in results.items()
+    }
     write_json(out / "posthoc.json", summary)
     rows = [["split", "pre_accuracy", "post_accuracy"]]
     for split in ("val", "test"):
@@ -301,12 +305,12 @@ def _cmd_posthoc(args) -> int:
 
 def _cmd_swap_eval(args) -> int:
     dataset = _load_dataset(args.data, swap=True)
-    config = _train_config(args)
+    configs = {m: replace(_train_config(args), method=m) for m in METHODS}
     seeds = _seed_list(range(args.seed, args.seed + args.seeds))
     # one pool trains every (method, seed) cell; the reports come back in order
-    reports = _train_cells(dataset, [replace(config, method=m, seed=s) for m in METHODS for s in seeds])
+    reports = _train_cells(dataset, [replace(configs[m], seed=s) for m in METHODS for s in seeds])
     stats = {m: eval_report.method_stats(reports[i * len(seeds):(i + 1) * len(seeds)]) for i, m in enumerate(METHODS)}
-    out = _write_config(args, config)
+    out = _write_config(args, {m: config.snapshot() for m, config in configs.items()})
     eval_report.write_method_table(stats, out / "tables" / "swap_comparison.csv")
     for report in reports:
         save_report(report, out / f"report_{report.run_id()}.json")

@@ -41,7 +41,7 @@ from .nn_core import (
     init_model,
     sgd_step,
 )
-from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig, _distance_kernel, ot_value_and_point_grads
+from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig, ot_value_and_point_grads
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -330,13 +330,11 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
         t0 = time.perf_counter()
         perm = rng.permutation(n_train)
         target_perm = rng.permutation(n_val)
-        cursor = 0
         ce_sum = aux_sum = 0.0
         steps = 0
         for start in range(0, n_train, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            take = (cursor + np.arange(len(idx))) % n_val
-            cursor = int((cursor + len(idx)) % n_val)
+            take = np.arange(start, start + len(idx)) % n_val
             try:
                 params, ce_loss, aux_loss = composite_loss_step(
                     params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
@@ -424,10 +422,6 @@ def _train_cells(dataset: DomainDataset, configs: list, keep_params: bool = Fals
     workers = _worker_count(len(configs))
     if workers <= 1:
         return [_sweep_cell(config, keep_params, dataset) for config in configs]
-    if any(config.method == "ot" and config.alpha > 0 for config in configs):
-        # Load cost_matrix's kernel before the fork: every worker of every
-        # pool inherits it instead of loading it again.
-        _distance_kernel()
     with _worker_pool(dataset, workers) as pool:
         return list(pool.map(_sweep_cell, configs, repeat(keep_params)))
 

@@ -234,9 +234,18 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _QUARTER_MAX = float(np.finfo(float).max) / 4
 
 
-def _ticks(lo: float, hi: float):
-    raw = np.linspace(lo, hi, 5)
-    return [float(v) for v in raw]
+def _quarter_range(values) -> tuple:
+    """The least and greatest of values, in quarters. Both axes are laid out
+    in quarters of the values: a power of two scales exactly, so ordinary
+    plots keep their bytes, and the span of any two doubles stays finite.
+    A zero span widens by 0.25, or by a share of the magnitude where 0.25
+    rounds away, and downward where upward would pass _QUARTER_MAX."""
+    lo, hi = min(values) / 4, max(values) / 4
+    if hi == lo:
+        hi = lo + max(0.25, abs(lo) / 2**20)
+        if hi > _QUARTER_MAX:
+            lo, hi = 2 * lo - hi, lo
+    return lo, hi
 
 
 def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
@@ -247,24 +256,18 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ContractViolationError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    # The y axis is laid out in quarters of the values: a power of two scales
-    # exactly, so ordinary plots keep their bytes, and the padded span of any
-    # two doubles stays finite. Tick labels scale back.
-    y_lo, y_hi = min(ys_all) / 4, max(ys_all) / 4
-    if y_hi == y_lo:
-        y_hi = y_lo + 0.25
+    # tick labels scale the quarters back
+    x_lo, x_hi = _quarter_range(xs_all)
+    y_lo, y_hi = _quarter_range(ys_all)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = max(y_lo - pad, -_QUARTER_MAX), min(y_hi + pad, _QUARTER_MAX)
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
-    def sx(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def sx(q):  # q: a value's quarter
+        return _ML + (q - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(q):  # q: a value's quarter
+    def sy(q):
         return _MT + plot_h - (q - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -276,14 +279,14 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" fill="none" '
         f'stroke="#333" stroke-width="1"/>',
     ]
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5).tolist():
         px = sx(tx)
         parts.append(f'<line x1="{px:.2f}" y1="{_MT + plot_h}" x2="{px:.2f}" y2="{_MT + plot_h + 5}" stroke="#333"/>')
         parts.append(
             f'<text x="{px:.2f}" y="{_MT + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tx:.3g}</text>'
+            f'font-family="sans-serif" font-size="11">{4 * tx:.3g}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5).tolist():
         py = sy(ty)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="#333"/>')
         parts.append(
@@ -300,7 +303,7 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
     )
     for i, (name, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y / 4):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{sx(x / 4):.2f},{sy(y / 4):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')

@@ -332,30 +332,13 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
 class ModelGrads:
     """Gradients in the flat layout of ModelParams. The buffer stops before
     the domain head when there are no head gradients; featurizer, classifier
-    and domain_head (None then) are tuples of (dW, db) views into it, built
-    on first use: sums and head extensions that only step the model never
-    read them."""
+    and domain_head (None then) are tuples of (dW, db) views into it."""
 
     def __init__(self, layout: _Layout, flat: np.ndarray):
         if flat.shape not in ((layout.head_start,), (layout.size,)):
             raise ContractViolationError(f"gradient buffer of shape {flat.shape} does not fit the model's layout")
         self.layout, self.flat = layout, flat
-
-    @functools.cached_property
-    def _views(self) -> tuple:
-        return self.layout.views(self.flat)
-
-    @property
-    def featurizer(self) -> tuple:
-        return self._views[0]
-
-    @property
-    def classifier(self) -> tuple:
-        return self._views[1]
-
-    @property
-    def domain_head(self) -> tuple | None:
-        return self._views[2]
+        self.featurizer, self.classifier, self.domain_head = layout.views(flat)
 
     def add(self, other: "ModelGrads") -> "ModelGrads":
         if other.layout != self.layout or other.flat.shape != self.flat.shape:

@@ -193,10 +193,7 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
         )
     kernel = _distance_kernel()
     cdist = kernel.cdist_euclidean if metric == EUCLIDEAN else kernel.cdist_sqeuclidean
-    entries = cdist(source.points, target.points)
-    # cdist can return tiny negative values for identical rows under sqeuclidean
-    np.maximum(entries, 0.0, out=entries)
-    return CostMatrix(entries, metric)
+    return CostMatrix(cdist(source.points, target.points), metric)
 
 
 # The finish of a solve (the rounding's rank-one correction, <gamma, C> and
@@ -584,8 +581,9 @@ def ot_value_and_point_grads(
 
     Returns (value, source_grads, target_grads) where value is the solved
     regularized objective. Gradients chain d(value)/dC = gamma through the
-    cost's dependence on the points; the euclidean branch floors distances at
-    1e-12 to avoid the singularity at coincident points.
+    cost's dependence on the points; in the euclidean branch, pairs at or
+    below a distance of 1e-12 get the zero subgradient, since the distance
+    has no gradient at coincident points.
     """
     X = np.asarray(source_points, dtype=float)
     Y = np.asarray(target_points, dtype=float)

@@ -37,11 +37,6 @@ class AlignmentResult:
     pre_accuracy: float
     post_accuracy: float
 
-    def __post_init__(self):
-        for acc in (self.pre_accuracy, self.post_accuracy):
-            if not (0.0 <= acc <= 1.0):
-                raise ContractViolationError("accuracies must lie in [0, 1]")
-
 
 def barycentric_map(
     source_features: np.ndarray,
@@ -116,10 +111,3 @@ def evaluate_posthoc(
         post = accuracy(forward_classifier(erm_params, aligned), y_split)
         results[split] = AlignmentResult(aligned, plan, pre, post)
     return results
-
-
-def posthoc_summary(results: dict) -> dict:
-    return {
-        split: {"pre_accuracy": r.pre_accuracy, "post_accuracy": r.post_accuracy}
-        for split, r in results.items()
-    }

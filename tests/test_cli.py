@@ -663,6 +663,10 @@ class TestOtherCommands:
             reports = [load_report(p) for p in sorted(out.glob(f"report_{method}_*.json"))]
             assert [r.seed for r in reports] == [0, 1]
             assert stats[method] == method_stats(reports)
+        # config.json records the configuration each method trained with
+        resolved = json.loads((out / "config.json").read_text())["resolved"]
+        assert sorted(resolved) == ["dann", "erm", "ot"]
+        assert all(resolved[m]["method"] == m for m in resolved)
 
     def test_report_reemission(self, data_dir, tmp_path):
         run_dir = tmp_path / "r"

@@ -84,25 +84,16 @@ def test_cli_loads_scipy_at_the_first_cost_matrix(tmp_path):
     assert not _HEAVY & set(after_train["scipy"])
 
 
-def test_ot_pool_loads_scipy_in_the_parent_before_forking():
-    # The parent builds no cost matrix itself; its workers inherit the kernel.
-    (after,) = checkpoints(f"""
-        from otda.data_gen import GeneratorConfig, generate
-        from otda.da_train import TrainConfig, alpha_sweep
-        alpha_sweep({_TINY_DATA}, TrainConfig(method="ot", epochs=1), [0.1], seeds=[0, 1])
-        loaded()
-    """, threads="2")
-    assert after["kernel"]
-    assert not _HEAVY & set(after["scipy"])
-
-
 def test_dann_pool_loads_no_scipy():
+    # The parent builds no cost matrix itself: ot's workers load the kernel
+    # at their first one, dann's never do.
     assert checkpoints(f"""
         from otda.data_gen import GeneratorConfig, generate
         from otda.da_train import TrainConfig, alpha_sweep
-        alpha_sweep({_TINY_DATA}, TrainConfig(method="dann", epochs=1), [0.1], seeds=[0, 1])
-        loaded()
-    """, threads="2") == [_NOTHING]
+        for method in ("ot", "dann"):
+            alpha_sweep({_TINY_DATA}, TrainConfig(method=method, epochs=1), [0.1], seeds=[0, 1])
+            loaded()
+    """, threads="2") == [_NOTHING, _NOTHING]
 
 
 @pytest.mark.parametrize("kernel_first", [True, False])

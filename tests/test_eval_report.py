@@ -1,6 +1,8 @@
 """Metrics vs brute-force oracles, ROC invariants, PCA properties, and the
 byte-stable table/plot emitters."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -251,7 +253,24 @@ class TestEmitters:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_line_plot_svg_is_wellformed(self, tmp_path):
-        path = line_plot_svg([("s", [0, 1, 2], [0.1, 0.5, 0.3])], "t", "x", "y", tmp_path / "p.svg")
-        text = path.read_text()
-        assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
-        assert "polyline" in text
+        big = float(np.finfo(float).max)
+        # the first series is the CLI's kind; the rest are finite series at
+        # the double range whose span is zero or overflows a double
+        for xs, ys in [
+            ([0, 1, 2], [0.1, 0.5, 0.3]),
+            ([0, 1], [2.0**54, 2.0**54]),
+            ([0, 1], [-big, -big]),
+            ([0, 1], [big, big]),
+            ([2.0**60, 2.0**60], [0.0, 1.0]),
+            ([big, big], [0.0, 1.0]),
+            ([-1.7e308, 1.7e308], [-1.7e308, 1.7e308]),
+        ]:
+            path = line_plot_svg([("s", xs, ys)], "t", "x", "y", tmp_path / "p.svg")
+            text = path.read_text()
+            assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+            assert "polyline" in text
+            assert "nan" not in text and "inf" not in text, (xs, ys)
+            (points,) = re.findall(r'points="([^"]*)"', text)
+            for point in points.split():
+                px, py = map(float, point.split(","))
+                assert 70 <= px <= 620 and 40 <= py <= 350, (xs, ys, point)  # the plot box

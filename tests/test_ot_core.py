@@ -154,8 +154,7 @@ class TestCostMatrix:
     )
     def test_matches_cdist_bytes(self, n, m, d, seed, scale, duplicates, metric):
         # Pins the bits a cdist replacement would have to keep; target rows
-        # copied from the source give the zero (and rounded-negative) costs
-        # the clamp exists for.
+        # copied from the source give zero costs, which carry no sign bit.
         from scipy.spatial.distance import cdist
 
         rng = np.random.default_rng(seed)
@@ -165,7 +164,8 @@ class TestCostMatrix:
         Y[:copied] = X[rng.choice(n, copied, replace=False)]
         entries = cost_matrix(DiscreteDistribution.uniform(X), DiscreteDistribution.uniform(Y), metric).entries
         expected = cdist(X, Y, metric="euclidean" if metric == EUCLIDEAN else "sqeuclidean")
-        assert entries.tobytes() == np.maximum(expected, 0.0).tobytes()
+        assert entries.tobytes() == expected.tobytes()
+        assert not np.signbit(entries).any()
 
     def test_dimension_mismatch(self):
         src = DiscreteDistribution.uniform(np.zeros((2, 3)))
