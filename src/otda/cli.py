@@ -32,7 +32,7 @@ from .da_train import (
     train_with_model,
     write_epoch_csv,
 )
-from .errors import ConfigurationError, NumericError, OtdaError, ParseError
+from .errors import ConfigurationError, NumericError, OtdaError
 from .eval_report import line_plot_svg, pca_project, roc_auc, subcluster_breakdown, write_breakdown_table, write_json
 from .nn_core import OptimizerConfig, forward_classifier, forward_features, save_checkpoint
 from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig
@@ -137,13 +137,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     if getattr(args, "config", None) is None:
         return
     try:
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = eval_report.read_json(args.config)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise ParseError(f"{args.config}: not valid JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigurationError(f"{args.config}: config file must hold a JSON object")
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)}
     for key, value in overrides.items():
@@ -186,7 +182,15 @@ def _write_config(args: argparse.Namespace, resolved: dict | None = None) -> Pat
     return write_json(Path(args.out) / "config.json", {**vars(args), **extra}).parent
 
 
-def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
+def _emit_run_outputs(args: argparse.Namespace, config: TrainConfig, report: RunReport, params, dataset) -> None:
+    """Write a train run's files. Both splits are projected first, so a split
+    that PCA refuses (one row) ends the command before any file is written."""
+    splits = {}
+    for split in ("val", "test"):
+        x, y = dataset.split_arrays(split)
+        features, _ = forward_features(params, x, keep_trace=False)
+        splits[split] = (y, forward_classifier(params, features), pca_project(features))
+    out = _write_config(args, config.snapshot())
     run_id = report.run_id()
     save_report(report, out / f"report_{run_id}.json")
     write_epoch_csv(report, out / "tables" / f"epochs_{run_id}.csv")
@@ -203,15 +207,12 @@ def _emit_run_outputs(out: Path, report: RunReport, params, dataset) -> None:
         out / "plots" / f"curves_{run_id}.svg",
     )
     curves = {}
-    for split in ("val", "test"):
-        x, y = dataset.split_arrays(split)
-        features, _ = forward_features(params, x, keep_trace=False)
-        logits = forward_classifier(params, features)
+    for split, (y, logits, projection) in splits.items():
         if report.final[split]["auc"] is not None:
             curves[split] = roc_auc(eval_report.softmax_scores(logits), y)
         idx = dataset.split_indices(split)
         eval_report.write_embedding_csv(
-            pca_project(features), y, dataset.domain_ids[idx],
+            projection, y, dataset.domain_ids[idx],
             out / "embeddings" / f"features_{split}_{run_id}.csv",
         )
     eval_report.write_roc_plot(curves, out / "plots" / f"roc_{run_id}.svg")
@@ -243,8 +244,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data, swap=args.swap_val_test)
     config = _train_config(args)
     report, params = train_with_model(dataset, config)
-    out = _write_config(args, config.snapshot())
-    _emit_run_outputs(out, report, params, dataset)
+    _emit_run_outputs(args, config, report, params, dataset)
     final = report.final
     print(
         f"{report.run_id()}: selected epoch {report.selected_epoch} "

@@ -15,7 +15,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import json
 import math
 import os
 import time
@@ -28,7 +27,7 @@ import numpy as np
 
 from .data_gen import DomainDataset
 from .errors import ConfigurationError, ContractViolationError, ParseError, SinkhornConvergenceError
-from .eval_report import accuracy, mean_std, roc_auc, softmax_scores, write_csv, write_json
+from .eval_report import accuracy, mean_std, read_json, roc_auc, softmax_scores, write_csv, write_json
 from .nn_core import (
     ModelParams,
     OptimizerConfig,
@@ -435,21 +434,9 @@ class SweepResult:
     selected_alpha: float
     reports: list  # list (per alpha) of lists (per seed) of RunReport
 
-    @property
-    def val_means(self):
-        return mean_std(self.val_acc)[0]
-
-    @property
-    def val_stds(self):
-        return mean_std(self.val_acc)[1]
-
-    @property
-    def test_means(self):
-        return mean_std(self.test_acc)[0]
-
-    @property
-    def test_stds(self):
-        return mean_std(self.test_acc)[1]
+    def __post_init__(self):
+        self.val_means, self.val_stds = mean_std(self.val_acc)
+        self.test_means, self.test_stds = mean_std(self.test_acc)
 
     def to_json_dict(self) -> dict:
         return {
@@ -510,11 +497,11 @@ def load_report(path) -> RunReport:
     """The RunReport stored at path, its fields checked against the table
     (_REPORT_FIELDS, and _EPOCH_FIELDS for each epoch record). Raises
     ParseError naming the file."""
+    payload = read_json(path)
     try:
-        payload = json.loads(Path(path).read_text())
         _check_fields(_REPORT_FIELDS, lambda name: functools.reduce(dict.__getitem__, name.split("."), payload))
         return RunReport(**{**payload, "epochs": [EpochRecord(**record) for record in payload["epochs"]]})
-    except (ValueError, TypeError, RecursionError, ContractViolationError) as exc:  # RecursionError: nesting too deep
+    except (TypeError, ContractViolationError) as exc:
         raise ParseError(f"{path}: not a run report: {exc}") from exc
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, ParseError
-from .eval_report import write_csv
+from .eval_report import read_json, write_csv
 
 SPLITS = ("train", "val", "test")
 SUBCLUSTERS_PER_CLASS = 3
@@ -313,7 +313,7 @@ def load(path) -> DomainDataset:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: line 1: empty file, expected a header row")
@@ -343,12 +343,7 @@ def load(path) -> DomainDataset:
     metadata = {}
     meta_path = _meta_path(path)
     if meta_path.exists():
-        try:
-            sidecar = json.loads(meta_path.read_text())
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise ParseError(f"{meta_path}: not valid JSON: {exc}") from exc
-        if not isinstance(sidecar, dict):
-            raise ParseError(f"{meta_path}: expected a JSON object, got {type(sidecar).__name__}")
+        sidecar = read_json(meta_path)
         metadata = sidecar.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ParseError(f"{meta_path}: metadata must be an object, got {type(metadata).__name__}")

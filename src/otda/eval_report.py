@@ -15,6 +15,7 @@ from .errors import (
     ContractViolationError,
     DegenerateProjectionError,
     FeatureUnavailableError,
+    ParseError,
     UndefinedMetricError,
 )
 
@@ -174,6 +175,18 @@ def write_json(path, payload) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def read_json(path) -> dict:
+    """The JSON object stored at path. Raises ParseError naming the file when
+    its bytes are not UTF-8 JSON holding an object; OSError passes through."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON; RecursionError: nesting too deep
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def write_csv(path, rows) -> Path:

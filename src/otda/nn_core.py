@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, ParseError
+from .eval_report import read_json
 
 # Per-sample normalization keeps rows at zero mean / unit variance across
 # hidden units; rows with variance at or below this floor are scaled by
@@ -490,12 +491,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     where = str(path)
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise ParseError(f"{where}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{where}: not a checkpoint file (a JSON {type(payload).__name__}, not an object)")
+    payload = read_json(path)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"{where}: not a checkpoint file (format={payload.get('format')!r})")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -585,12 +585,9 @@ def ot_value_and_point_grads(
     below a distance of 1e-12 get the zero subgradient, since the distance
     has no gradient at coincident points.
     """
-    X = np.asarray(source_points, dtype=float)
-    Y = np.asarray(target_points, dtype=float)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ContractViolationError(f"point arrays must be 2-D with equal width, got {X.shape} and {Y.shape}")
-    src = DiscreteDistribution.uniform(X)
-    tgt = DiscreteDistribution.uniform(Y)
+    src = DiscreteDistribution.uniform(source_points)
+    tgt = DiscreteDistribution.uniform(target_points)
+    X, Y = src.points, tgt.points
     cost = cost_matrix(src, tgt, metric)
     plan = sinkhorn(cost, src, tgt, config)
     require_converged(plan, src, tgt)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .da_train import _one_blas_thread
 from .data_gen import DomainDataset
-from .errors import ContractViolationError, NumericError
+from .errors import NumericError
 from .eval_report import accuracy
 from .nn_core import ModelParams, forward_classifier, forward_features
 from .ot_core import (
@@ -52,29 +52,21 @@ def barycentric_map(
     average of source rows. Returns (aligned_features, plan); raises
     SinkhornConvergenceError when the solve stops at MAX_ITERATIONS.
     """
-    src = np.asarray(source_features, dtype=float)
-    tgt = np.asarray(target_features, dtype=float)
-    if src.ndim != 2 or tgt.ndim != 2 or src.shape[1] != tgt.shape[1]:
-        raise ContractViolationError(
-            f"feature widths must match, got {src.shape} and {tgt.shape}"
-        )
-    if not epsilon > 0:
-        raise ContractViolationError("epsilon must be positive")
-    target_measure = DiscreteDistribution.uniform(tgt)
-    source_measure = DiscreteDistribution.uniform(src)
-    cost = cost_matrix(target_measure, source_measure, metric)
     config = SinkhornConfig(
         epsilon=epsilon,
         relative_epsilon=False,
         max_iterations=MAX_ITERATIONS,
         marginal_tolerance=MARGINAL_TOLERANCE,
     )
+    target_measure = DiscreteDistribution.uniform(target_features)
+    source_measure = DiscreteDistribution.uniform(source_features)
+    cost = cost_matrix(target_measure, source_measure, metric)
     plan = sinkhorn(cost, target_measure, source_measure, config)
     require_converged(plan, target_measure, source_measure)
     row_mass = plan.gamma.sum(axis=1)
     if np.any(row_mass <= 0):
         raise NumericError("degenerate transport row with zero mass; plan is not feasible")
-    aligned = (plan.gamma @ src) / row_mass[:, None]
+    aligned = (plan.gamma @ source_measure.points) / row_mass[:, None]
     return aligned, plan
 
 

@@ -96,6 +96,25 @@ class TestTrain:
         assert one == two
         assert json.loads((tmp_path / "one" / "metrics.json").read_text())["final"]["test"]["auc"] is None
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_one_row_split_writes_nothing(self, data_dir, tmp_path, capsys, split):
+        # PCA needs two rows: train refuses before its first file, and
+        # posthoc, which projects nothing, runs
+        ds = data_gen.load(data_dir / "dataset.csv")
+        keep = ds.splits != split
+        keep[list(ds.splits).index(split)] = True
+        one_row = DomainDataset(
+            ds.features[keep], ds.labels[keep], ds.domain_ids[keep], ds.splits[keep], ds.subclusters[keep], ds.metadata
+        )
+        data_gen.save(one_row, tmp_path / "data" / "dataset.csv")
+        flags = ["--epochs", "1", "--data", str(tmp_path / "data")]
+        for method in ("ot", "dann"):
+            out = tmp_path / method
+            assert run(["train", "--method", method, *flags, "--out", str(out)]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "ContractViolationError"
+            assert not out.exists()
+        assert run(["posthoc", *flags, "--out", str(tmp_path / "posthoc")]) == 0
+
     def test_dann_subcommand(self, data_dir, tmp_path):
         out = tmp_path / "dann"
         assert run(["dann", "--data", str(data_dir), "--out", str(out), "--epochs", "1", "--alpha", "0.05"]) == 0
@@ -141,6 +160,28 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 1
         assert payload["error"] == "ParseError"
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1]", b'{"seed": ' + b"9" * 5000 + b"}"],
+                             ids=["not-utf8", "not-an-object", "int-too-long"])
+    @pytest.mark.parametrize("which", ["csv", "sidecar", "config", "report"])
+    def test_unreadable_input_file_is_one_parse_error(self, data_dir, tmp_path, capsys, which, content):
+        data, runs, config = tmp_path / "data", tmp_path / "runs", tmp_path / "config.json"
+        shutil.copytree(data_dir, data)
+        runs.mkdir()
+        train = ["train", "--method", "erm", "--epochs", "1", "--data", str(data)]
+        bad, argv = {
+            "csv": (data / "dataset.csv", train),
+            "sidecar": (data / "dataset.meta.json", train),
+            "config": (config, ["gen-data", "--config", str(config)]),
+            "report": (runs / "report_x.json", ["report", "--data", str(runs)]),
+        }[which]
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ParseError" and str(bad) in payload["message"]
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert run(["train", "--help"]) == 0

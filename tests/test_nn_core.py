@@ -3,6 +3,7 @@ optimizer closed forms, initialization scale, and checkpoint round trips."""
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +494,12 @@ class TestCheckpoint:
         path = tmp_path / "garbage.json"
         path.write_text("not json")
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_non_utf8_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid JSON: "):
             load_checkpoint(path)
 
     def test_json_nested_too_deep_is_parse_error(self, tmp_path):
