@@ -41,19 +41,21 @@ _METRIC_FLAGS = {"euclidean": EUCLIDEAN, "squared": SQUARED_EUCLIDEAN}
 
 
 def _add_train_flags(p: argparse.ArgumentParser, method: bool = True, alpha: bool = True, swap: bool = True) -> None:
-    """The training flags, less those the command fixes or does not read."""
+    """The training flags, less those the command fixes or does not read.
+    Their defaults are TrainConfig's, but for --method and --metric."""
+    defaults = TrainConfig()
     if method:
         p.add_argument("--method", choices=METHODS, default="ot")
     if alpha:
-        p.add_argument("--alpha", type=float, default=0.1)
+        p.add_argument("--alpha", type=float, default=defaults.alpha)
     p.add_argument("--epsilon", type=float, default=None,
                    help="absolute Sinkhorn regularization; default is cost-relative")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.optimizer.learning_rate)
+    p.add_argument("--momentum", type=float, default=defaults.optimizer.momentum)
+    p.add_argument("--weight-decay", type=float, default=defaults.optimizer.weight_decay)
     p.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="euclidean")
     if swap:
         p.add_argument("--swap-val-test", action="store_true")
@@ -75,11 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic benchmark")
-    p.add_argument("--seed", type=int, default=7)
+    defaults = data_gen.GeneratorConfig()
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--samples-per-domain", type=int, default=600)
-    p.add_argument("--num-domains", type=int, default=5)
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--samples-per-domain", type=int, default=defaults.samples_per_domain)
+    p.add_argument("--num-domains", type=int, default=defaults.num_domains)
+    p.add_argument("--dim", type=int, default=defaults.dim)
     p.add_argument("--config", type=str, default=None)
 
     p = sub.add_parser("train", help="train one configuration")

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data_gen import DomainDataset
-from .errors import ConfigurationError, ContractViolationError, ParseError, SinkhornConvergenceError
+from .errors import ConfigurationError, ContractViolationError, NumericError, ParseError
 from .eval_report import accuracy, mean_std, read_json, roc_auc, softmax_scores, write_csv, write_json
 from .nn_core import (
     ModelParams,
@@ -216,7 +216,8 @@ def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_ba
 
     erm has no term. The transport term is skipped at alpha == 0, and the
     adversary then trains only its head, so every method at alpha 0 moves
-    featurizer and classifier exactly as erm does.
+    featurizer and classifier exactly as erm does. A non-finite loss, the
+    cross-entropy or the term's, raises NumericError.
     """
     xs, ys = source_batch
     if len(xs) == 0:
@@ -227,17 +228,23 @@ def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_ba
     features_s, trace_s = forward_features(params, xs)
     logits = forward_classifier(params, features_s)
     ce_loss, dlogits = cross_entropy(logits, ys)
+    if not math.isfinite(ce_loss):
+        raise NumericError(f"cross-entropy loss is {ce_loss}: training diverged")
     if term is None:
         return ce_loss, 0.0, backward(params, trace_s, None, dlogits)
     features_t, trace_t = forward_features(params, target_batch)
     aux_loss, dfeat_s, dfeat_t, head_grads = term(params, features_s, features_t, config)
+    if not math.isfinite(aux_loss):
+        raise NumericError(f"{config.method} alignment loss is {aux_loss}: training diverged")
     if config.alpha > 0:
         grads = backward(params, trace_s, config.alpha * dfeat_s, dlogits)
-        grads = grads.add(backward(params, trace_t, config.alpha * dfeat_t, None))
+        grads.flat += backward(params, trace_t, config.alpha * dfeat_t, None).flat
     else:
         grads = backward(params, trace_s, None, dlogits)
     if head_grads is not None:
-        grads = grads.with_head(head_grads)
+        for layer, head_layer in zip(grads.domain_head, head_grads):
+            layer.weight[...] = head_layer.weight
+            layer.bias[...] = head_layer.bias
     return ce_loss, aux_loss, grads
 
 
@@ -308,6 +315,7 @@ def _one_blas_thread():
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     """Run the configured method and return (report, params at the selected
     epoch). The selected epoch is the first with the best validation accuracy.
+    A NumericError from a step is given the epoch, step and batch shape.
     """
     x_train, y_train = dataset.split_arrays("train")
     x_val, y_val = dataset.split_arrays("val")
@@ -338,7 +346,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 params, ce_loss, aux_loss = composite_loss_step(
                     params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
                 )
-            except SinkhornConvergenceError as exc:
+            except NumericError as exc:
                 exc.epoch, exc.step, exc.batch_shape = epoch, steps, (len(idx), len(take))
                 raise
             ce_sum += ce_loss

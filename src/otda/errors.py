@@ -2,7 +2,7 @@
 
 Two families matter to callers: configuration/contract problems (bad inputs,
 bad shapes, bad files) and numeric failures (Sinkhorn non-convergence, a
-transport plan with an empty row).
+transport plan with an empty row, a training loss gone non-finite).
 The CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 

@@ -82,17 +82,11 @@ class _Layout:
     def size(self) -> int:
         return self.is_weight.size
 
-    @functools.cached_property
-    def head_start(self) -> int:
-        """Length of the buffer before the domain head."""
-        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.featurizer + self.classifier)
-
     def views(self, buf: np.ndarray) -> tuple:
         """(featurizer, classifier, domain_head) as tuples of DenseLayer views
-        into buf; domain_head is None when buf stops before the head."""
-        shapes = self.shapes if buf.size > self.head_start else self.featurizer + self.classifier
+        into buf; domain_head is None when the model has none."""
         layers, start = [], 0
-        for fan_in, fan_out in shapes:
+        for fan_in, fan_out in self.shapes:
             mid = start + fan_in * fan_out
             layers.append(DenseLayer(buf[start:mid].reshape(fan_in, fan_out), buf[mid:mid + fan_out]))
             start = mid + fan_out
@@ -331,24 +325,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
 
 
 class ModelGrads:
-    """Gradients in the flat layout of ModelParams. The buffer stops before
-    the domain head when there are no head gradients; featurizer, classifier
-    and domain_head (None then) are tuples of (dW, db) views into it."""
+    """Gradients in the flat layout of ModelParams, over the whole model;
+    featurizer, classifier and domain_head (None when absent) are tuples of
+    (dW, db) views into the buffer."""
 
     def __init__(self, layout: _Layout, flat: np.ndarray):
-        if flat.shape not in ((layout.head_start,), (layout.size,)):
+        if flat.shape != (layout.size,):
             raise ContractViolationError(f"gradient buffer of shape {flat.shape} does not fit the model's layout")
         self.layout, self.flat = layout, flat
         self.featurizer, self.classifier, self.domain_head = layout.views(flat)
-
-    def add(self, other: "ModelGrads") -> "ModelGrads":
-        if other.layout != self.layout or other.flat.shape != self.flat.shape:
-            raise ContractViolationError("gradients of different layouts or head coverage do not add")
-        return ModelGrads(self.layout, self.flat + other.flat)
-
-    def with_head(self, head_grads) -> "ModelGrads":
-        """These gradients followed by the domain head's [(dW, db)]."""
-        return ModelGrads(self.layout, np.concatenate([self.flat, _flatten(head_grads)]))
 
 
 def _norm_backward(dy, y, scale, floored):
@@ -391,7 +376,7 @@ def backward(
     if trace.features.shape[1] != params.feature_dim:
         raise ContractViolationError("trace feature width does not match the model")
 
-    grads = ModelGrads(params.layout, np.zeros(params.layout.head_start))
+    grads = ModelGrads(params.layout, np.zeros(params.layout.size))
     # The feature gradient is the sum 0 + dx + g, which is +0.0 where dx and
     # g are both -0.0: adding +0.0 first keeps that without a zero buffer.
     grad = None
@@ -427,23 +412,19 @@ def sgd_step(params: ModelParams, grads: ModelGrads, config: OptimizerConfig) ->
     """One SGD-with-momentum step over the flat buffers:
     v <- mu v + (g + wd * w); w <- w - lr v.
 
-    Weight decay applies to weight entries only, never biases. Gradients
-    without a domain head step the buffers' prefix before it, so the head's
-    weights and momentum stay untouched. Returns a new ModelParams; the
-    input is not mutated.
+    Weight decay applies to weight entries only, never biases. Returns a new
+    ModelParams; the input is not mutated.
     """
     if grads.layout != params.layout:
         raise ContractViolationError("gradients do not match the model's layout")
-    n = grads.flat.size
     # where= leaves bias entries at exactly g: a float mask's 0 * w term
     # would turn a -0.0 gradient into +0.0.
     step = grads.flat.copy()
-    np.add(step, config.weight_decay * params.flat[:n], out=step, where=params.layout.is_weight[:n])
+    np.add(step, config.weight_decay * params.flat, out=step, where=params.layout.is_weight)
     new = params.copy()
-    velocity = new.velocity[:n]
-    velocity *= config.momentum
-    velocity += step
-    new.flat[:n] -= np.multiply(config.learning_rate, velocity, out=step)
+    new.velocity *= config.momentum
+    new.velocity += step
+    new.flat -= np.multiply(config.learning_rate, new.velocity, out=step)
     return new
 
 

@@ -59,19 +59,17 @@ def probe_accuracy(x_train, y_train, x_eval, y_eval):
     return float((preds == y_eval.astype(bool)).mean())
 
 
-def _blocks(layout, buf):
-    """buf split into its weight and bias blocks, in layout order: each layer's
-    weight (row-major, flattened), then its bias, as views into buf."""
-    cuts = np.flatnonzero(np.diff(layout.is_weight[: buf.size])) + 1
-    return np.split(buf, cuts)
-
-
 def model_arrays(params):
-    return _blocks(params.layout, params.flat)
+    """params.flat split into its weight and bias blocks, in layout order: each
+    layer's weight (row-major, flattened), then its bias, as views."""
+    cuts = np.flatnonzero(np.diff(params.layout.is_weight)) + 1
+    return np.split(params.flat, cuts)
 
 
-def grads_arrays(grads, include_head=False):
-    return _blocks(grads.layout, grads.flat if include_head else grads.flat[: grads.layout.head_start])
+def grads_arrays(grads):
+    """The featurizer's and classifier's gradient blocks in model_arrays's
+    order and shapes; the domain head's are left out."""
+    return [a.reshape(-1) for layer in grads.featurizer + grads.classifier for a in layer]
 
 
 def params_equal(a_layers, b_layers):

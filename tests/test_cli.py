@@ -6,8 +6,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -215,6 +217,28 @@ class TestExitCodes:
         assert code == 2
         assert payload["error"] == "SinkhornConvergenceError"
         assert (payload["epoch"], payload["step"], payload["batch_shape"]) == (0, 0, [128, 128])
+
+    @pytest.mark.parametrize("argv, loss", [
+        (["train", "--method", "erm", "--lr", "1e300"], "cross-entropy"),
+        (["train", "--method", "ot", "--lr", "1e300"], "cross-entropy"),
+        (["dann", "--lr", "1e100"], "dann alignment"),
+        (["posthoc", "--lr", "1e300"], "cross-entropy"),
+        (["sweep", "--method", "dann", "--lr", "1e100", "--alphas", "0.1,1", "--seeds", "2"], "dann alignment"),
+    ])
+    def test_diverging_run_is_exit_two(self, data_dir, tmp_path, argv, loss):
+        # a fresh interpreter, since the overflow warnings on the way are errors here
+        out = tmp_path / "d"
+        result = subprocess.run(
+            [sys.executable, "-m", "otda.cli", *argv, "--data", str(data_dir), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "OTDA_THREADS": "2"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "NumericError"
+        assert re.fullmatch(f"{loss} loss is nan: training diverged", payload["message"])
+        assert isinstance(payload["epoch"], int) and isinstance(payload["step"], int)
+        assert not out.exists()
 
     def test_tiny_epsilon_trains(self, data_dir, tmp_path):
         assert run(small_train_args(data_dir, tmp_path / "t", epsilon="1e-12", batch_size=32)) == 0

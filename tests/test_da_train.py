@@ -186,13 +186,13 @@ class TestDannStep:
         targets = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
         head_out, inputs = _head_forward(params.domain_head, stacked)
         _, dhead = binary_cross_entropy_with_logits(head_out, targets)
-        _, dstacked = _head_backward(params.domain_head, inputs, dhead)
+        head_grads, dstacked = _head_backward(params.domain_head, inputs, dhead)
 
         base = backward(params, trace_s, None, dlogits)
         unreversed = backward(params, trace_s, dstacked[: len(xs)], np.zeros_like(dlogits))
-        unreversed = unreversed.add(backward(params, trace_t, dstacked[len(xs):], None))
+        unreversed.flat += backward(params, trace_t, dstacked[len(xs):], None).flat
         reversed_grads = backward(params, trace_s, -alpha * dstacked[: len(xs)], dlogits)
-        reversed_grads = reversed_grads.add(backward(params, trace_t, -alpha * dstacked[len(xs):], None))
+        reversed_grads.flat += backward(params, trace_t, -alpha * dstacked[len(xs):], None).flat
 
         for (bw, bb), (uw, ub), (rw, rb) in zip(base.featurizer, unreversed.featurizer, reversed_grads.featurizer):
             assert np.allclose(rw, bw - alpha * uw, atol=1e-12)
@@ -201,6 +201,10 @@ class TestDannStep:
         _, _, step_grads = composite_loss_and_grads(params, (xs, ys), xt, small_config(method="dann", alpha=alpha))
         for a, b in zip(grads_arrays(step_grads), grads_arrays(reversed_grads)):
             assert np.array_equal(a, b)
+        # and its domain head's are the head's own, not reversed or scaled
+        assert [a.tobytes() for layer in step_grads.domain_head for a in layer] == [
+            a.tobytes() for layer in head_grads for a in layer
+        ]
 
 
 class TestTrain:

@@ -203,7 +203,7 @@ def reference_backward(params, trace, feature_grads, logit_grads):
     buffer: the classifier's forward pass recomputed, its ReLU masks taken
     from the pre-activations, the feature gradient summed from zeros, and a
     fresh array for every intermediate."""
-    flat = np.zeros(params.layout.head_start)
+    flat = np.zeros(params.layout.size)
     featurizer, classifier, _ = params.layout.views(flat)
     dfeatures = np.zeros_like(trace.features)
     if logit_grads is not None:
@@ -361,7 +361,7 @@ class TestBackward:
 
 class TestSgdStep:
     def zero_grads(self, params):
-        return ModelGrads(params.layout, np.zeros(params.layout.head_start))
+        return ModelGrads(params.layout, np.zeros(params.layout.size))
 
     def test_plain_gradient_descent(self):
         params = tiny_model(seed=12)
@@ -425,18 +425,14 @@ class TestSgdStep:
             assert new_w.weight.tobytes() == (w.weight - config.learning_rate * vw).tobytes()
             assert new_w.bias.tobytes() == (w.bias - config.learning_rate * vb).tobytes()
 
-    def test_headless_grads_leave_the_head_alone(self):
+    def test_grads_must_span_the_whole_model(self):
         params = tiny_model(seed=19, domain_head=True)
-        rng = np.random.default_rng(19)
-        config = OptimizerConfig(0.05, 0.9, 0.01)
-        params = sgd_step(params, ModelGrads(params.layout, rng.standard_normal(params.layout.size)), config)
-        head = params.layout.head_start
-        stepped = sgd_step(params, ModelGrads(params.layout, rng.standard_normal(head)), config)
-        assert stepped.flat[head:].tobytes() == params.flat[head:].tobytes()
-        assert stepped.velocity[head:].tobytes() == params.velocity[head:].tobytes()
-        assert not np.array_equal(stepped.flat[:head], params.flat[:head])
-        with pytest.raises(ContractViolationError):
-            sgd_step(tiny_model(seed=19), ModelGrads(params.layout, np.zeros(params.layout.size)), config)
+        head = sum(layer.weight.size + layer.bias.size for layer in params.domain_head)
+        for size in (params.layout.size - head, params.layout.size + 1):  # stopping before the head, or past it
+            with pytest.raises(ContractViolationError, match="does not fit the model's layout"):
+                ModelGrads(params.layout, np.zeros(size))
+        with pytest.raises(ContractViolationError, match="do not match the model's layout"):
+            sgd_step(tiny_model(seed=19), ModelGrads(params.layout, np.zeros(params.layout.size)), OptimizerConfig())
 
     def test_grad_components_reject_assignment(self):
         grads = self.zero_grads(tiny_model(seed=20))
