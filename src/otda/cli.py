@@ -23,7 +23,7 @@ from .da_train import (
     METHODS,
     RunReport,
     TrainConfig,
-    _one_blas_thread,
+    _numeric_section,
     _seed_list,
     _train_cells,
     alpha_sweep,
@@ -431,9 +431,9 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-# The whole command, emission and reports included, runs on one BLAS thread,
-# as training does; the caller's count comes back on every exit.
-@_one_blas_thread()
+# The whole command, emission and reports included, runs in one numeric
+# section, as training does; the caller's state comes back on every exit.
+@_numeric_section()
 def run(argv) -> int:
     parser = build_parser()
     try:

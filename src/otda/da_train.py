@@ -176,7 +176,8 @@ def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray) ->
     if z.shape != t.shape:
         raise ContractViolationError("logits and targets must align")
     loss = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
-    sigma = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives sigma's exact limit 0
+        sigma = 1.0 / (1.0 + np.exp(-z))
     grads = ((sigma - t) / z.size).reshape(logits.shape)
     return loss, grads
 
@@ -216,8 +217,7 @@ def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_ba
 
     erm has no term. The transport term is skipped at alpha == 0, and the
     adversary then trains only its head, so every method at alpha 0 moves
-    featurizer and classifier exactly as erm does. A non-finite loss, the
-    cross-entropy or the term's, raises NumericError.
+    featurizer and classifier exactly as erm does. The batches must be finite.
     """
     xs, ys = source_batch
     if len(xs) == 0:
@@ -228,14 +228,10 @@ def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_ba
     features_s, trace_s = forward_features(params, xs)
     logits = forward_classifier(params, features_s)
     ce_loss, dlogits = cross_entropy(logits, ys)
-    if not math.isfinite(ce_loss):
-        raise NumericError(f"cross-entropy loss is {ce_loss}: training diverged")
     if term is None:
         return ce_loss, 0.0, backward(params, trace_s, None, dlogits)
     features_t, trace_t = forward_features(params, target_batch)
     aux_loss, dfeat_s, dfeat_t, head_grads = term(params, features_s, features_t, config)
-    if not math.isfinite(aux_loss):
-        raise NumericError(f"{config.method} alignment loss is {aux_loss}: training diverged")
     if config.alpha > 0:
         grads = backward(params, trace_s, config.alpha * dfeat_s, dlogits)
         grads.flat += backward(params, trace_t, config.alpha * dfeat_t, None).flat
@@ -293,29 +289,32 @@ def _openblas_function(name: str):
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread and give the caller back its
-    thread count on exit, also when the block raises. At otda's matrix sizes
-    a second BLAS thread only spins: it doubles CPU time and gains no wall
-    time. Does nothing when numpy uses another BLAS."""
-    get_threads = _openblas_function("get_num_threads")
-    set_threads = _openblas_function("set_num_threads")
-    if get_threads is None or set_threads is None:
-        yield
-        return
+def _numeric_section():
+    """Run the block on one OpenBLAS thread, since a second one only spins at
+    otda's sizes, with numpy raising on overflow, invalid and divide. A
+    FloatingPointError leaves as a NumericError naming numpy's operation, with
+    the attributes set on it on the way. The caller's thread count and error
+    state come back on every exit. Without OpenBLAS, threads are left alone."""
+    get_threads = _openblas_function("get_num_threads") or (lambda: None)
+    set_threads = _openblas_function("set_num_threads") or (lambda count: None)
     before = get_threads()
     set_threads(1)
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        error = NumericError(str(exc))
+        error.__dict__.update(exc.__dict__)
+        raise error from exc
     finally:
         set_threads(before)
 
 
-@_one_blas_thread()
+@_numeric_section()
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     """Run the configured method and return (report, params at the selected
     epoch). The selected epoch is the first with the best validation accuracy.
-    A NumericError from a step is given the epoch, step and batch shape.
+    A numeric fault is given its epoch and, in a step, the step and batch shape.
     """
     x_train, y_train = dataset.split_arrays("train")
     x_val, y_val = dataset.split_arrays("val")
@@ -339,21 +338,23 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
         target_perm = rng.permutation(n_val)
         ce_sum = aux_sum = 0.0
         steps = 0
-        for start in range(0, n_train, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            take = np.arange(start, start + len(idx)) % n_val
-            try:
+        try:
+            for start in range(0, n_train, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                take = np.arange(start, start + len(idx)) % n_val
+                at = (steps, (len(idx), len(take)))
                 params, ce_loss, aux_loss = composite_loss_step(
                     params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
                 )
-            except NumericError as exc:
-                exc.epoch, exc.step, exc.batch_shape = epoch, steps, (len(idx), len(take))
-                raise
-            ce_sum += ce_loss
-            aux_sum += aux_loss
-            steps += 1
-        val_metrics = evaluate_split(params, x_val, y_val)
-        test_metrics = evaluate_split(params, x_test, y_test)
+                ce_sum += ce_loss
+                aux_sum += aux_loss
+                steps += 1
+            at = (None, None)  # the epoch-end evaluation has no step
+            val_metrics = evaluate_split(params, x_val, y_val)
+            test_metrics = evaluate_split(params, x_test, y_test)
+        except (NumericError, FloatingPointError) as exc:
+            exc.epoch, (exc.step, exc.batch_shape) = epoch, at
+            raise
         records.append(
             EpochRecord(
                 epoch=epoch,

@@ -196,7 +196,7 @@ def init_model(
     """
     rng = np.random.default_rng([int(seed), 0])
     featurizer = _init_layers([input_dim, *feature_widths], rng)
-    feature_dim = feature_widths[-1]
+    feature_dim = (input_dim, *feature_widths)[-1]  # no widths: _Layout refuses the empty featurizer
     classifier = _init_layers([feature_dim, *classifier_widths, num_classes], rng)
     domain_head = None
     if domain_head_widths is not None:

@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .da_train import _one_blas_thread
+from .da_train import _numeric_section
 from .data_gen import DomainDataset
-from .errors import NumericError
 from .eval_report import accuracy
 from .nn_core import ModelParams, forward_classifier, forward_features
 from .ot_core import (
@@ -63,14 +62,11 @@ def barycentric_map(
     cost = cost_matrix(target_measure, source_measure, metric)
     plan = sinkhorn(cost, target_measure, source_measure, config)
     require_converged(plan, target_measure, source_measure)
-    row_mass = plan.gamma.sum(axis=1)
-    if np.any(row_mass <= 0):
-        raise NumericError("degenerate transport row with zero mass; plan is not feasible")
-    aligned = (plan.gamma @ source_measure.points) / row_mass[:, None]
+    aligned = (plan.gamma @ source_measure.points) / plan.gamma.sum(axis=1)[:, None]
     return aligned, plan
 
 
-@_one_blas_thread()
+@_numeric_section()
 def evaluate_posthoc(
     dataset: DomainDataset,
     erm_params: ModelParams,

@@ -1,11 +1,19 @@
 """Shared oracles for the test suite: finite differences, relative error,
-and a least-squares linear probe; and a cap on the training solver for tests
-that need a solve to fail."""
+and a least-squares linear probe; a cap on the training solver for tests
+that need a solve to fail; and a check of a guard's exact message."""
+
+import re
 
 import numpy as np
+import pytest
 
 from otda import da_train
 from otda.ot_core import SinkhornConfig
+
+
+def raises_exactly(error, message):
+    """pytest.raises for error carrying exactly message."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
 
 
 def rel_err(a, b, floor=1e-8):

@@ -6,10 +6,8 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -33,6 +31,13 @@ def data_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "data"
     code = run(["gen-data", "--seed", "3", "--out", str(path), "--samples-per-domain", "150"])
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def default_data_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "default"
+    assert run(["gen-data", "--out", str(path)]) == 0
     return path
 
 
@@ -218,26 +223,28 @@ class TestExitCodes:
         assert payload["error"] == "SinkhornConvergenceError"
         assert (payload["epoch"], payload["step"], payload["batch_shape"]) == (0, 0, [128, 128])
 
-    @pytest.mark.parametrize("argv, loss", [
-        (["train", "--method", "erm", "--lr", "1e300"], "cross-entropy"),
-        (["train", "--method", "ot", "--lr", "1e300"], "cross-entropy"),
-        (["dann", "--lr", "1e100"], "dann alignment"),
-        (["posthoc", "--lr", "1e300"], "cross-entropy"),
-        (["sweep", "--method", "dann", "--lr", "1e100", "--alphas", "0.1,1", "--seeds", "2"], "dann alignment"),
+    @pytest.mark.parametrize("argv, data", [
+        (["train", "--method", "erm", "--lr", "1e300"], "data_dir"),
+        (["train", "--method", "ot", "--lr", "1e300"], "data_dir"),
+        (["dann", "--lr", "1e100"], "data_dir"),
+        (["posthoc", "--lr", "1e300"], "data_dir"),
+        (["sweep", "--method", "dann", "--lr", "1e100", "--alphas", "0.1,1", "--seeds", "2"], "data_dir"),
+        # on the default dataset these finished at chance while numpy warned
+        (["train", "--method", "erm", "--lr", "1e6"], "default_data_dir"),
+        (["train", "--method", "ot", "--lr", "1e6"], "default_data_dir"),
+        (["posthoc", "--lr", "1e6"], "default_data_dir"),
+        (["dann", "--lr", "1e6"], "default_data_dir"),
     ])
-    def test_diverging_run_is_exit_two(self, data_dir, tmp_path, argv, loss):
-        # a fresh interpreter, since the overflow warnings on the way are errors here
+    def test_diverging_run_is_exit_two(self, request, tmp_path, capsys, monkeypatch, argv, data):
+        monkeypatch.setenv("OTDA_THREADS", "2")
         out = tmp_path / "d"
-        result = subprocess.run(
-            [sys.executable, "-m", "otda.cli", *argv, "--data", str(data_dir), "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "OTDA_THREADS": "2"},
-            capture_output=True, text=True, timeout=300,
-        )
-        assert result.returncode == 2, result.stderr
-        payload = json.loads(result.stderr.strip().splitlines()[-1])
+        assert run(argv + ["--data", str(request.getfixturevalue(data)), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
         assert payload["error"] == "NumericError"
-        assert re.fullmatch(f"{loss} loss is nan: training diverged", payload["message"])
+        assert re.fullmatch(r"overflow encountered in \w+", payload["message"])
         assert isinstance(payload["epoch"], int) and isinstance(payload["step"], int)
+        assert len(payload["batch_shape"]) == 2
         assert not out.exists()
 
     def test_tiny_epsilon_trains(self, data_dir, tmp_path):
@@ -330,6 +337,16 @@ _config_values = (
 
 
 class TestConfigFileParsing:
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, make):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        make(config)
+        assert run(["gen-data", "--config", str(config), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigurationError"
+        assert re.fullmatch(f"cannot read config file {re.escape(str(config))}: .+", payload["message"])
+        assert not out.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(dest=st.sampled_from(sorted(_TRAIN_FLAGS)), hyphens=st.booleans(), value=_config_values)
     def test_value_is_what_its_flag_makes_of_it(self, dest, hyphens, value):
@@ -674,13 +691,11 @@ class TestBlasScope:
 
 
 class TestSlowTail:
-    def test_seed_227_trains_on_the_gen_data_defaults(self, tmp_path):
+    def test_seed_227_trains_on_the_gen_data_defaults(self, default_data_dir, tmp_path):
         # Every epoch ends with an 8-row batch (1 800 training rows, batches
         # of 128); at seed 227 one of its 8x8 solves stalled above the
         # tolerance until the iteration cap.
-        data = tmp_path / "data"
-        assert run(["gen-data", "--out", str(data)]) == 0
-        assert run(["train", "--seed", "227", "--data", str(data), "--out", str(tmp_path / "run")]) == 0
+        assert run(["train", "--seed", "227", "--data", str(default_data_dir), "--out", str(tmp_path / "run")]) == 0
 
 
 class TestOtherCommands:
@@ -788,3 +803,17 @@ class TestOtherCommands:
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == 3
+
+    def test_selftest_failure_names_the_suite_and_exits_one(self, capsys, monkeypatch):
+        import otda.cli
+
+        def broken(rng):
+            raise AssertionError("auc 0.4 vs oracle 0.5")
+
+        monkeypatch.setattr(otda.cli, "_selftest_auc", broken)
+        assert run(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "selftest brute-force transport oracle: ok",
+            "selftest finite-difference gradients: ok",
+            "selftest AUC pairwise oracle: FAILED (AssertionError: auc 0.4 vs oracle 0.5)",
+        ]

@@ -1,6 +1,7 @@
 """Training harness: step semantics, ERM degeneracy, gradient reversal,
 composite-loss gradcheck, determinism, leakage, early stopping, and sweeps."""
 
+import contextlib
 import json
 import pickle
 import tracemalloc
@@ -18,6 +19,7 @@ from helpers import (
     grads_arrays,
     model_arrays,
     params_equal,
+    raises_exactly,
     record_blas_threads,
     rel_err,
 )
@@ -42,8 +44,17 @@ from otda.da_train import (
     train,
     train_with_model,
 )
-from otda.errors import ConfigurationError, ContractViolationError, ParseError, SinkhornConvergenceError
-from otda.nn_core import _head_backward, _head_forward, backward, cross_entropy, forward_classifier, forward_features, init_model
+from otda.errors import ConfigurationError, ContractViolationError, NumericError, ParseError, SinkhornConvergenceError
+from otda.nn_core import (
+    OptimizerConfig,
+    _head_backward,
+    _head_forward,
+    backward,
+    cross_entropy,
+    forward_classifier,
+    forward_features,
+    init_model,
+)
 from otda.ot_core import SinkhornConfig
 
 
@@ -62,6 +73,32 @@ def batch_from(ds, rng, size=16):
     idx = rng.choice(np.flatnonzero(ds.splits == "train"), size, replace=False)
     tidx = rng.choice(np.flatnonzero(ds.splits == "val"), size, replace=False)
     return (ds.features[idx], ds.labels[idx]), ds.features[tidx]
+
+
+_BATCH = (np.zeros((4, 8)), np.zeros(4, dtype=int))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda ds: TrainConfig(method="sgd"), ConfigurationError,
+                 "unknown method 'sgd'; expected one of ('erm', 'ot', 'dann')", id="method"),
+    pytest.param(lambda ds: TrainConfig(metric="manhattan"), ConfigurationError,
+                 "unknown metric 'manhattan'", id="metric"),
+    pytest.param(lambda ds: binary_cross_entropy_with_logits(np.zeros((3, 1)), np.zeros(2)), ContractViolationError,
+                 "logits and targets must align", id="bce-shapes"),
+    pytest.param(lambda ds: composite_loss_and_grads(init_model(8), _BATCH, _BATCH[0], small_config(method="dann")),
+                 ContractViolationError, "method 'dann' needs a model with a domain head", id="dann-without-head"),
+    pytest.param(lambda ds: composite_loss_and_grads(init_model(8), (np.zeros((0, 8)), np.zeros(0, dtype=int)),
+                                                     _BATCH[0], small_config()),
+                 ContractViolationError, "empty source batch", id="empty-source"),
+    pytest.param(lambda ds: composite_loss_and_grads(init_model(8), _BATCH, np.zeros((0, 8)), small_config(method="ot")),
+                 ContractViolationError, "empty target batch", id="empty-target"),
+    pytest.param(lambda ds: alpha_sweep(ds, small_config(method="ot"), [], [0]), ConfigurationError,
+                 "need at least one alpha value", id="no-alphas"),
+])
+def test_library_guard_names_the_fault(tiny_ds, call, error, message):
+    # inputs the training loop and the CLI never build
+    with raises_exactly(error, message):
+        call(tiny_ds)
 
 
 class TestCompositeStep:
@@ -205,6 +242,12 @@ class TestDannStep:
         assert [a.tobytes() for layer in step_grads.domain_head for a in layer] == [
             a.tobytes() for layer in head_grads for a in layer
         ]
+
+    def test_sigmoid_overflow_gives_the_exact_limit(self):
+        # exp(1000) overflows to inf, and 1 / (1 + inf) is sigmoid's limit 0
+        loss, grads = binary_cross_entropy_with_logits(np.full((4, 1), -1000.0), np.ones(4))
+        assert loss == 1000.0
+        assert np.array_equal(grads, np.full((4, 1), -0.25))
 
 
 class TestTrain:
@@ -405,6 +448,61 @@ class TestBlasScope:
         with pytest.raises(SinkhornConvergenceError):
             train_with_model(tiny_ds, small_config(method="ot", alpha=0.1, epochs=1, batch_size=32))
         assert parent_blas_threads() == 2
+
+
+# A caller's error state that differs from numpy's default in every field.
+_CALLER_ERR = {"divide": "print", "over": "ignore", "under": "raise", "invalid": "warn"}
+
+
+class TestNumericSection:
+    def _restores(self, call, raises=None):
+        with np.errstate(**_CALLER_ERR):
+            with pytest.raises(raises) if raises else contextlib.nullcontext():
+                call()
+            assert np.geterr() == _CALLER_ERR
+
+    def test_training_restores(self, tiny_ds):
+        self._restores(lambda: train_with_model(tiny_ds, small_config(method="dann", epochs=1)))
+
+    def test_diverged_training_restores(self, tiny_ds):
+        config = small_config(epochs=1, optimizer=OptimizerConfig(learning_rate=1e300))
+        self._restores(lambda: train_with_model(tiny_ds, config), NumericError)
+
+    def test_posthoc_restores(self, tiny_ds, monkeypatch):
+        from otda import posthoc_align
+
+        _, params = train_with_model(tiny_ds, small_config(epochs=1))
+        self._restores(lambda: posthoc_align.evaluate_posthoc(tiny_ds, params))
+        monkeypatch.setattr(posthoc_align, "MAX_ITERATIONS", 1)
+        self._restores(lambda: posthoc_align.evaluate_posthoc(tiny_ds, params), SinkhornConvergenceError)
+
+    @pytest.mark.parametrize("argv, code", [(["selftest"], 0), (["train", "--bogus"], 1)])
+    def test_command_restores(self, argv, code, capsys):
+        from otda.cli import run
+
+        with np.errstate(**_CALLER_ERR):
+            assert run(argv) == code
+            assert np.geterr() == _CALLER_ERR
+        capsys.readouterr()
+
+    def test_fault_in_epoch_end_evaluation_names_its_epoch(self, tiny_ds, monkeypatch):
+        def overflowing(*args):
+            return np.float64(1e308) * 10.0
+
+        monkeypatch.setattr(otda.da_train, "evaluate_split", overflowing)
+        with pytest.raises(NumericError, match="^overflow encountered in scalar multiply$") as caught:
+            train_with_model(tiny_ds, small_config(epochs=1))
+        assert (caught.value.epoch, caught.value.step, caught.value.batch_shape) == (0, None, None)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_nan_feature_is_an_input_fault(self, tiny_ds, method, split):
+        # a NaN input sets no floating-point flag; the run still never ends silently
+        features = tiny_ds.features.copy()
+        features[np.flatnonzero(tiny_ds.splits == split)[0], 0] = np.nan
+        bad = replace(tiny_ds, features=features)
+        with pytest.raises(ContractViolationError, match="must be finite|non-finite"):
+            train_with_model(bad, small_config(method=method, epochs=1))
 
 
 class TestReportStructures:

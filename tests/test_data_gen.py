@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import probe_accuracy
+from helpers import probe_accuracy, raises_exactly
 from otda.data_gen import (
     SPLITS,
     DomainDataset,
@@ -21,7 +21,7 @@ from otda.data_gen import (
     save,
     swap_val_test,
 )
-from otda.errors import ConfigurationError, ParseError
+from otda.errors import ConfigurationError, ContractViolationError, ParseError
 
 
 _JSON = st.recursive(
@@ -104,6 +104,39 @@ _ODD_FIELDS = st.sampled_from([
 @pytest.fixture(scope="module")
 def default_ds():
     return generate(GeneratorConfig(samples_per_domain=300, seed=11))
+
+
+def _dataset(domains=(0, 1, 2), splits=("train", "val", "test"), labels=3, tags=None):
+    n = len(domains)
+    return DomainDataset(np.zeros((n, 1)), np.zeros(labels, dtype=int), np.array(domains),
+                         np.array(splits, dtype=object), tags)
+
+
+def _load_text(path, text):
+    path.write_text(text)
+    return load(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: GeneratorConfig(dim=3), ConfigurationError, "need at least 4 feature dimensions",
+                 id="dim"),
+    pytest.param(lambda tmp: _dataset(labels=2), ContractViolationError, "per-sample arrays must share one length",
+                 id="labels-length"),
+    pytest.param(lambda tmp: _dataset(tags=np.array(["a"], dtype=object)), ContractViolationError,
+                 "subcluster tags must match the sample count", id="tags-length"),
+    pytest.param(lambda tmp: _dataset((0, 1, 2, 0), ("train", "val", "test", "val"), labels=4), ConfigurationError,
+                 "domain 0 carries multiple splits (train, val)", id="domain-in-two-splits"),
+    pytest.param(lambda tmp: _dataset(splits=("train", "val", "val")), ConfigurationError,
+                 "dataset must have >=1 train domain, exactly 1 val domain and exactly 1 test domain; "
+                 "got {'train': [0], 'val': [1, 2], 'test': []}", id="split-topology"),
+    pytest.param(lambda tmp: _dataset().split_indices("dev"), ContractViolationError, "unknown split 'dev'",
+                 id="unknown-split"),
+    pytest.param(lambda tmp: _load_text(tmp / "d.csv", "domain_id,split,label,f1\n"), ParseError,
+                 "<tmp>/d.csv: line 1: feature columns must be f0..f0", id="feature-columns"),
+])
+def test_library_guard_names_the_fault(tmp_path, call, error, message):
+    with raises_exactly(error, message.replace("<tmp>", str(tmp_path))):
+        call(tmp_path)
 
 
 class TestGenerate:

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from helpers import raises_exactly
+
 from otda.da_train import EpochRecord, RunReport
 from otda.errors import (
     ContractViolationError,
@@ -25,6 +27,20 @@ from otda.eval_report import (
     subcluster_breakdown,
     write_alpha_table,
 )
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda tmp: accuracy(np.zeros((3, 2)), np.zeros(2)), "labels length does not match logits",
+                 id="accuracy-labels"),
+    pytest.param(lambda tmp: roc_auc(np.zeros(3), np.zeros(2)), "scores and labels must be matching 1-D arrays",
+                 id="roc-shapes"),
+    pytest.param(lambda tmp: line_plot_svg([], "t", "x", "y", tmp / "p.svg"), "nothing to plot", id="empty-plot"),
+    pytest.param(lambda tmp: emit_tables([], tmp), "need at least one report to emit", id="no-reports"),
+])
+def test_library_guard_names_the_fault(tmp_path, call, message):
+    # inputs the CLI never builds, so only library callers meet these guards
+    with raises_exactly(ContractViolationError, message):
+        call(tmp_path)
 
 
 class TestAccuracy:

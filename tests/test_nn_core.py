@@ -11,11 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import central_diff, grads_arrays, model_arrays, params_equal, rel_err
+from helpers import central_diff, grads_arrays, model_arrays, params_equal, raises_exactly, rel_err
 from otda.errors import ContractViolationError, ParseError
 from otda.nn_core import (
     VARIANCE_FLOOR,
     ModelGrads,
+    ModelParams,
     OptimizerConfig,
     _norm_backward,
     _normalize_rows,
@@ -35,6 +36,33 @@ def tiny_model(seed=0, domain_head=False):
         4, feature_widths=(6, 5), num_classes=3, classifier_widths=(4,),
         domain_head_widths=(3,) if domain_head else None, seed=seed,
     )
+
+
+def _traced(params, rows=4):
+    return forward_features(params, np.zeros((rows, 4)))[1]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: init_model(4, feature_widths=()), "featurizer has no layers", id="no-featurizer"),
+    pytest.param(lambda: ModelParams(tiny_model().layout, np.zeros(3), np.zeros(3)),
+                 f"parameter and momentum buffers must hold {tiny_model().layout.size} entries", id="buffer-size"),
+    pytest.param(lambda: forward_classifier(tiny_model(), np.zeros((2, 7))),
+                 "features of shape (2, 7) do not match classifier input width 5", id="classifier-width"),
+    pytest.param(lambda: cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int)),
+                 "labels shape (2,) does not match 3 rows of logits", id="labels-shape"),
+    pytest.param(lambda: backward(tiny_model(), _traced(init_model(4, feature_widths=(6,), num_classes=3)), None,
+                                  np.zeros((4, 3))), "trace does not match the model's featurizer depth", id="trace-depth"),
+    pytest.param(lambda: backward(tiny_model(), _traced(init_model(4, feature_widths=(6, 7), num_classes=3)), None,
+                                  np.zeros((4, 3))), "trace feature width does not match the model", id="trace-width"),
+    pytest.param(lambda: backward(tiny_model(), _traced(tiny_model()), None, np.zeros((4, 2))),
+                 "logit grads shape (4, 2) does not match the trace", id="logit-grads-shape"),
+    pytest.param(lambda: backward(tiny_model(), _traced(tiny_model()), np.zeros((3, 5)), None),
+                 "feature grads shape (3, 5) does not match the trace", id="feature-grads-shape"),
+])
+def test_library_guard_names_the_fault(call, message):
+    # inputs the CLI never builds, so only library callers meet these guards
+    with raises_exactly(ContractViolationError, message):
+        call()
 
 
 class TestForwardFeatures:
@@ -528,20 +556,28 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            lambda payload: [payload],
-            lambda payload: {k: v for k, v in payload.items() if k != "featurizer"},
-            lambda payload: {**payload, "featurizer": 5},
-            lambda payload: {**payload, "featurizer": [{**payload["featurizer"][0], "shape": [24]}]},
+            (lambda payload: [payload], "expected a JSON object, got list"),
+            (lambda payload: {k: v for k, v in payload.items() if k != "featurizer"},
+             "featurizer must be a list of layers, got NoneType"),
+            (lambda payload: {**payload, "featurizer": 5}, "featurizer must be a list of layers, got int"),
+            (lambda payload: {**payload, "featurizer": [{**payload["featurizer"][0], "shape": [24]}]},
+             "layer 0 has weight shape (24,) and bias shape (6,)"),
             # a classifier reading 6 inputs behind a featurizer of width 5
-            lambda payload: {**payload, "classifier": [{"shape": [6, 3], "weight": [0.0] * 18, "bias": [0.0] * 3}]},
+            (lambda payload: {**payload, "classifier": [{"shape": [6, 3], "weight": [0.0] * 18, "bias": [0.0] * 3}]},
+             "classifier layer widths do not compose: (6, 5) then (6, 3)"),
+            (lambda payload: {**payload, "featurizer": [{"shape": [4, 6], "bias": [0.0] * 6}]},
+             "malformed layer 0: 'weight'"),
+            (lambda payload: {**payload, "featurizer": []}, "featurizer has no layers"),
+            (lambda payload: {**payload, "version": 99}, "unsupported checkpoint version 99"),
         ],
-        ids=["json-array", "no-featurizer", "featurizer-not-a-list", "one-dim-shape", "classifier-width"],
+        ids=["json-array", "no-featurizer", "featurizer-not-a-list", "one-dim-shape", "classifier-width",
+             "layer-without-weight", "empty-featurizer", "version"],
     )
-    def test_malformed_structure_is_parse_error(self, tmp_path, corrupt):
+    def test_malformed_structure_is_parse_error(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
         save_checkpoint(tiny_model(seed=5), path)
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-        with pytest.raises(ParseError):
+        with raises_exactly(ParseError, f"{path}: {message}"):
             load_checkpoint(path)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, raises_exactly, rel_err
 from otda import ot_core
 from otda.errors import (
     ContractViolationError,
@@ -95,6 +95,36 @@ _fractions = st.floats(0.25, 1.0)
 # straddle many blocks and the splits of numpy's pairwise summation tree.
 _finish_blocks = st.sampled_from([ot_core._FINISH_BLOCK, 8, 64, 136])
 _sinkhorn_settings = settings(max_examples=100, deadline=None)
+
+
+def _uniform(n):
+    return DiscreteDistribution.uniform(np.zeros((n, 1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DiscreteDistribution(np.zeros((2, 1)), np.full(3, 1 / 3)), ContractViolationError,
+                 "weights shape (3,) does not match 2 points", id="weights-shape"),
+    pytest.param(lambda: CostMatrix(np.zeros(3), EUCLIDEAN), ContractViolationError,
+                 "cost entries must be 2-D, got shape (3,)", id="cost-not-2d"),
+    pytest.param(lambda: CostMatrix(np.zeros((2, 2)), "manhattan"), ContractViolationError,
+                 "unknown metric tag 'manhattan'", id="cost-metric-tag"),
+    pytest.param(lambda: cost_matrix(_uniform(2), _uniform(2), "manhattan"), ContractViolationError,
+                 "unknown metric 'manhattan'", id="cost-matrix-metric"),
+    pytest.param(lambda: SinkhornConfig(marginal_tolerance=0.0), ContractViolationError,
+                 "marginal_tolerance must be positive", id="tolerance"),
+    pytest.param(lambda: SinkhornConfig(max_iterations=0), ContractViolationError,
+                 "max_iterations must be >= 1", id="iterations"),
+    pytest.param(lambda: sinkhorn(CostMatrix(np.zeros((2, 3)), EUCLIDEAN), _uniform(2), _uniform(2), SinkhornConfig()),
+                 ContractViolationError, "cost shape (2, 3) does not match marginals (2, 2)", id="sinkhorn-cost-shape"),
+    pytest.param(lambda: exact_ot_bruteforce(CostMatrix(np.zeros((2, 3)), EUCLIDEAN), _uniform(2), _uniform(3)),
+                 UnsupportedInstanceError, "need equal sizes, got 2 and 3", id="bruteforce-sizes"),
+    pytest.param(lambda: exact_ot_bruteforce(CostMatrix(np.zeros((2, 3)), EUCLIDEAN), _uniform(2), _uniform(2)),
+                 ContractViolationError, "cost shape (2, 3) does not match n=2", id="bruteforce-cost-shape"),
+])
+def test_library_guard_names_the_fault(call, error, message):
+    # inputs the CLI never builds, so only library callers meet these guards
+    with raises_exactly(error, message):
+        call()
 
 
 class TestDiscreteDistribution:
@@ -195,6 +225,15 @@ class TestCostMatrix:
             cost_matrix(src, src)
         assert "_distance_pybind.missing.so" in str(info.value)
         assert scipy.__version__ in str(info.value)
+
+    def test_missing_scipy_is_import_error(self, monkeypatch):
+        import importlib.util
+
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None if name == "scipy" else find_spec(name))
+        ot_core._distance_kernel.cache_clear()
+        with raises_exactly(ImportError, "cost matrices need scipy, which is not installed"):
+            cost_matrix(_uniform(2), _uniform(2))
 
     def test_checks_hold_no_matrix_sized_temporary(self):
         # A boolean mask over a post-hoc sized cost matrix (600 x 1 800)
