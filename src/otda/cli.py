@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--samples-per-domain", type=int, default=defaults.samples_per_domain)
-    p.add_argument("--num-domains", type=int, default=defaults.num_domains)
-    p.add_argument("--dim", type=int, default=defaults.dim)
     p.add_argument("--config", type=str, default=None)
 
     p = sub.add_parser("train", help="train one configuration")
@@ -230,12 +228,7 @@ def _emit_run_outputs(args: argparse.Namespace, config: TrainConfig, report: Run
 
 def _cmd_gen_data(args) -> int:
     out = Path(args.out)
-    config = data_gen.GeneratorConfig(
-        num_domains=args.num_domains,
-        dim=args.dim,
-        samples_per_domain=args.samples_per_domain,
-        seed=args.seed,
-    )
+    config = data_gen.GeneratorConfig(samples_per_domain=args.samples_per_domain, seed=args.seed)
     dataset = data_gen.generate(config)
     data_gen.save(dataset, out / "dataset.csv")  # creates out
     _write_config(args)

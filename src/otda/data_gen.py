@@ -5,8 +5,9 @@ space; every domain ("institution") applies its own affine intensity shift
 (per-coordinate scale and offset, dominated by a scalar stain-like component)
 to all of its samples. One class-1 subcluster is withheld from every domain
 except the test one, giving the test institution a phenotype the model never
-sees during training. Domains 1..n-2 are the training split, n-1 validation,
-n test.
+sees during training. The draw is always the five institutions of
+_INSTITUTIONS, eight features each: domains 1..3 are the training split, 4
+validation, 5 test.
 
 The class axis and the subcluster axes are orthogonal to the all-ones
 intensity direction, so the shift family never erases the label signal: a
@@ -27,19 +28,24 @@ from .errors import ConfigurationError, ContractViolationError, ParseError
 from .eval_report import read_json, write_csv
 
 SPLITS = ("train", "val", "test")
+NUM_FEATURES = 8
 SUBCLUSTERS_PER_CLASS = 3
 # Subcluster withheld from all non-test domains: class 1, component 2.
 MASKED_CLASS = 1
 MASKED_SUBCLUSTER = 2
 
-# Base intensity shifts per role; per-coordinate jitter is added on top.
-# Validation and test sit on the same ray of the stain axis (test further
-# out), so invariance learned by aligning train with validation extrapolates
-# to the unseen institution while a fixed raw-space boundary does not.
-_TRAIN_SCALES = (0.90, 1.00, 1.10)
-_TRAIN_OFFSETS = (-0.15, 0.0, 0.15)
-_VAL_SCALE, _VAL_OFFSET = 1.70, 1.60
-_TEST_SCALE, _TEST_OFFSET = 2.20, 3.40
+# The institutions in domain-id order: (split, base scale, base offset);
+# per-coordinate jitter is added on top. Validation and test sit on the same
+# ray of the stain axis (test further out), so invariance learned by aligning
+# train with validation extrapolates to the unseen institution while a fixed
+# raw-space boundary does not.
+_INSTITUTIONS = (
+    ("train", 0.90, -0.15),
+    ("train", 1.00, 0.0),
+    ("train", 1.10, 0.15),
+    ("val", 1.70, 1.60),
+    ("test", 2.20, 3.40),
+)
 _SCALE_JITTER = 0.03
 _OFFSET_JITTER = 0.05
 
@@ -61,18 +67,12 @@ _GEOMETRY_SEED = 173
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    num_domains: int = 5
-    dim: int = 8
     samples_per_domain: int = 600
     seed: int = 7
 
     def __post_init__(self):
-        if self.num_domains < 3:
-            raise ConfigurationError("need at least 3 domains (train/val/test)")
         if self.samples_per_domain < 100:
             raise ConfigurationError("samples_per_domain must be >= 100")
-        if self.dim < 4:
-            raise ConfigurationError("need at least 4 feature dimensions")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
@@ -99,6 +99,10 @@ class DomainDataset:
             raise ContractViolationError("per-sample arrays must share one length")
         if self.subclusters is not None and self.subclusters.shape != (n,):
             raise ContractViolationError("subcluster tags must match the sample count")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ContractViolationError(f"non-finite feature in row {row} ({self.splits[row]} split)")
         per_domain = {}
         for dom, spl in zip(self.domain_ids.tolist(), self.splits.tolist()):
             prev = per_domain.setdefault(dom, spl)
@@ -128,14 +132,14 @@ class DomainDataset:
         return sorted(set(self.domain_ids[self.split_indices(split)].tolist()))
 
 
-def _latent_axes(dim: int) -> np.ndarray:
+def _latent_axes() -> np.ndarray:
     """Three unit directions (class axis, seen-subcluster axis, novel axis),
     all orthogonal to the all-ones intensity direction and to each other."""
     rng = np.random.default_rng(_GEOMETRY_SEED)
-    basis = [np.ones(dim) / np.sqrt(dim)]
+    basis = [np.ones(NUM_FEATURES) / np.sqrt(NUM_FEATURES)]
     axes = []
     while len(axes) < 3:
-        cand = rng.standard_normal(dim)
+        cand = rng.standard_normal(NUM_FEATURES)
         for b in basis:
             cand -= (cand @ b) * b
         norm = np.linalg.norm(cand)
@@ -146,11 +150,12 @@ def _latent_axes(dim: int) -> np.ndarray:
     return np.stack(axes)
 
 
-def subcluster_means(config: GeneratorConfig) -> np.ndarray:
-    """(2, SUBCLUSTERS_PER_CLASS, d) latent means; [1, MASKED_SUBCLUSTER] is
-    the withheld phenotype, displaced along a direction no seen cluster uses."""
-    class_axis, spread_axis, novel_axis = _latent_axes(config.dim)
-    means = np.zeros((2, SUBCLUSTERS_PER_CLASS, config.dim))
+def subcluster_means() -> np.ndarray:
+    """(2, SUBCLUSTERS_PER_CLASS, NUM_FEATURES) latent means;
+    [1, MASKED_SUBCLUSTER] is the withheld phenotype, displaced along a
+    direction no seen cluster uses."""
+    class_axis, spread_axis, novel_axis = _latent_axes()
+    means = np.zeros((2, SUBCLUSTERS_PER_CLASS, NUM_FEATURES))
     for cls, center in enumerate(_CLASS_CENTERS):
         means[cls, 0] = (center - _LINE_SPREAD) * class_axis - _CLUSTER_SPREAD * spread_axis
         means[cls, 1] = (center + _LINE_SPREAD) * class_axis + _CLUSTER_SPREAD * spread_axis
@@ -161,25 +166,19 @@ def subcluster_means(config: GeneratorConfig) -> np.ndarray:
     return means
 
 
-def _draw_shift(config: GeneratorConfig, rng: np.random.Generator) -> tuple:
-    """(scales, offsets, inclusion): each domain's per-coordinate affine
-    shift, (num_domains, d) arrays, and which subclusters of each class it
-    draws from, (num_domains, 2, SUBCLUSTERS_PER_CLASS) booleans."""
-    n, d = config.num_domains, config.dim
-    scales = np.empty((n, d))
-    offsets = np.empty((n, d))
-    for k in range(n):
-        if k < n - 2:
-            base_scale = _TRAIN_SCALES[k % len(_TRAIN_SCALES)]
-            base_offset = _TRAIN_OFFSETS[k % len(_TRAIN_OFFSETS)]
-        elif k == n - 2:
-            base_scale, base_offset = _VAL_SCALE, _VAL_OFFSET
-        else:
-            base_scale, base_offset = _TEST_SCALE, _TEST_OFFSET
-        scales[k] = base_scale * np.exp(_SCALE_JITTER * rng.standard_normal(d))
-        offsets[k] = base_offset + _OFFSET_JITTER * rng.standard_normal(d)
-    inclusion = np.ones((n, 2, SUBCLUSTERS_PER_CLASS), dtype=bool)
-    inclusion[: n - 1, MASKED_CLASS, MASKED_SUBCLUSTER] = False
+def _draw_shift(rng: np.random.Generator) -> tuple:
+    """(scales, offsets, inclusion): each institution's per-coordinate
+    affine shift, its base scale and offset with jitter, (5, NUM_FEATURES)
+    arrays, and which subclusters of each class it draws from, (5, 2,
+    SUBCLUSTERS_PER_CLASS) booleans; only the test institution draws the
+    withheld one."""
+    scales = np.empty((len(_INSTITUTIONS), NUM_FEATURES))
+    offsets = np.empty_like(scales)
+    for k, (_, base_scale, base_offset) in enumerate(_INSTITUTIONS):
+        scales[k] = base_scale * np.exp(_SCALE_JITTER * rng.standard_normal(NUM_FEATURES))
+        offsets[k] = base_offset + _OFFSET_JITTER * rng.standard_normal(NUM_FEATURES)
+    inclusion = np.ones((len(_INSTITUTIONS), 2, SUBCLUSTERS_PER_CLASS), dtype=bool)
+    inclusion[[split != "test" for split, _, _ in _INSTITUTIONS], MASKED_CLASS, MASKED_SUBCLUSTER] = False
     return scales, offsets, inclusion
 
 
@@ -189,15 +188,13 @@ def generate(config: GeneratorConfig) -> DomainDataset:
     class-1 share lies in _CLASS1_FRACTION_RANGE), drawn from two or three
     subclusters."""
     rng = np.random.default_rng([int(config.seed), 1])
-    scales, offsets, inclusion = _draw_shift(config, rng)
-    means = subcluster_means(config)
+    scales, offsets, inclusion = _draw_shift(rng)
+    means = subcluster_means()
     lo, hi = _CLASS1_FRACTION_RANGE
     n = config.samples_per_domain
 
     feats, labels, domains, splits, tags = [], [], [], [], []
-    for k in range(config.num_domains):
-        domain_id = k + 1
-        split = "train" if k < config.num_domains - 2 else ("val" if k == config.num_domains - 2 else "test")
+    for k, (split, _, _) in enumerate(_INSTITUTIONS):
         frac1 = float(rng.uniform(lo, hi))
         n1 = int(round(frac1 * n))
         y = np.concatenate([np.ones(n1, dtype=int), np.zeros(n - n1, dtype=int)])
@@ -207,18 +204,18 @@ def generate(config: GeneratorConfig) -> DomainDataset:
             mask = y == c
             pool = np.flatnonzero(inclusion[k, c])
             subs[mask] = pool[(rng.random(int(mask.sum())) * pool.size).astype(int)]
-        latent = means[y, subs] + _NOISE_SIGMA * rng.standard_normal((n, config.dim))
+        latent = means[y, subs] + _NOISE_SIGMA * rng.standard_normal((n, NUM_FEATURES))
         x = scales[k] * latent + offsets[k]
         feats.append(x)
         labels.append(y)
-        domains.append(np.full(n, domain_id, dtype=int))
+        domains.append(np.full(n, k + 1, dtype=int))
         splits.append(np.full(n, split, dtype=object))
         tags.extend(f"c{c}s{s}" for c, s in zip(y.tolist(), subs.tolist()))
 
     metadata = {
         "generator": {
-            "num_domains": config.num_domains,
-            "dim": config.dim,
+            "num_domains": len(_INSTITUTIONS),
+            "dim": NUM_FEATURES,
             "samples_per_domain": config.samples_per_domain,
             "seed": config.seed,
             "noise_sigma": _NOISE_SIGMA,

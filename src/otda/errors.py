@@ -49,10 +49,13 @@ class SinkhornConvergenceError(NumericError):
 
     A solve that fails in training also names where: the epoch, the step
     within it and the batch shape (source rows, target rows); these stay
-    None elsewhere.
+    None elsewhere. The diagnostics default to None because unpickling (a
+    pool worker sends the error back) calls the class with the message
+    alone and then restores every attribute.
     """
 
-    def __init__(self, message: str, iterations_used: int, row_residual: float, col_residual: float):
+    def __init__(self, message: str, iterations_used: int | None = None, row_residual: float | None = None,
+                 col_residual: float | None = None):
         super().__init__(message)
         self.iterations_used = iterations_used
         self.row_residual = row_residual
@@ -60,9 +63,3 @@ class SinkhornConvergenceError(NumericError):
         self.epoch = None
         self.step = None
         self.batch_shape = None
-
-    def __reduce__(self):
-        # Pool workers send the error back pickled; the default reduction
-        # would call __init__ with the message alone.
-        args = (str(self), self.iterations_used, self.row_residual, self.col_residual)
-        return type(self), args, self.__dict__

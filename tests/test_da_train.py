@@ -497,12 +497,13 @@ class TestNumericSection:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("split", ["train", "val", "test"])
     def test_nan_feature_is_an_input_fault(self, tiny_ds, method, split):
-        # a NaN input sets no floating-point flag; the run still never ends silently
+        # a NaN input sets no floating-point flag, so the dataset refuses it
+        # before any run can train on it
         features = tiny_ds.features.copy()
-        features[np.flatnonzero(tiny_ds.splits == split)[0], 0] = np.nan
-        bad = replace(tiny_ds, features=features)
-        with pytest.raises(ContractViolationError, match="must be finite|non-finite"):
-            train_with_model(bad, small_config(method=method, epochs=1))
+        row = np.flatnonzero(tiny_ds.splits == split)[0]
+        features[row, 0] = np.nan
+        with raises_exactly(ContractViolationError, f"non-finite feature in row {row} ({split} split)"):
+            train_with_model(replace(tiny_ds, features=features), small_config(method=method, epochs=1))
 
 
 class TestReportStructures:
