@@ -198,10 +198,8 @@ def _emit_run_outputs(args: argparse.Namespace, config: TrainConfig, report: Run
     save_checkpoint(params, out / f"checkpoint_{run_id}.json")
     metrics = {"run_id": run_id, "selected_epoch": report.selected_epoch, "final": report.final}
     write_json(out / "metrics.json", metrics)
-    series = eval_report.curve_series(report.epochs)
-    series.append(("test accuracy", series[0][1], [r.test_accuracy for r in report.epochs]))
     line_plot_svg(
-        series,
+        eval_report.curve_series(report.epochs),
         f"training curves ({run_id})",
         "epoch",
         "value",

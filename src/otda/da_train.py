@@ -17,11 +17,9 @@ import functools
 import glob
 import math
 import os
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, astuple, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,9 +39,6 @@ from .nn_core import (
     sgd_step,
 )
 from .ot_core import EUCLIDEAN, SQUARED_EUCLIDEAN, SinkhornConfig, ot_value_and_point_grads
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 METHODS = ("erm", "ot", "dann")
 
@@ -74,8 +69,8 @@ class TrainConfig:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.metric not in (EUCLIDEAN, SQUARED_EUCLIDEAN):
             raise ConfigurationError(f"unknown metric {self.metric!r}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed <= _INT:  # the bound load_report checks
+            raise ConfigurationError(f"seed must be a 64-bit int >= 0, got {self.seed}")
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -101,7 +96,8 @@ _EPOCH_FIELDS = {
     "aux_loss": ("a finite real", _number(-_REAL, _REAL)),
     "val_accuracy": _UNIT,
     "test_accuracy": _UNIT,
-    "wall_seconds": ("a finite real >= 0", _number(0, _REAL)),  # a stored record may omit it
+    # reports written before training stopped timing epochs store this one
+    "wall_seconds": ("a finite real >= 0", _number(0, _REAL)),
 }
 _REPORT_FIELDS = {
     "seed": ("a 64-bit int >= 0", _number(0, _INT, int)),
@@ -134,10 +130,10 @@ class EpochRecord:
     aux_loss: float  # transport or adversary loss; 0 for erm
     val_accuracy: float
     test_accuracy: float
-    wall_seconds: float = 0.0
+    wall_seconds: InitVar[float] = 0.0  # checked, then dropped
 
-    def __post_init__(self):
-        _check_fields(_EPOCH_FIELDS, functools.partial(getattr, self))
+    def __post_init__(self, wall_seconds):
+        _check_fields(_EPOCH_FIELDS, {**vars(self), "wall_seconds": wall_seconds}.__getitem__)
 
 
 @dataclass
@@ -152,11 +148,7 @@ class RunReport:
         return f"{self.config['method']}_a{self.config['alpha']:g}_s{self.seed}"
 
     def to_json_dict(self) -> dict:
-        payload = asdict(self)
-        # timing is machine noise; serialized reports stay reproducible
-        for record in payload["epochs"]:
-            record["wall_seconds"] = 0.0
-        return payload
+        return asdict(self)
 
 
 def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
@@ -333,7 +325,6 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     # best val accuracy; sgd_step never mutates its input, so params stay put
     best = None
     for epoch in range(config.epochs):
-        t0 = time.perf_counter()
         perm = rng.permutation(n_train)
         target_perm = rng.permutation(n_val)
         ce_sum = aux_sum = 0.0
@@ -355,16 +346,8 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
         except (NumericError, FloatingPointError) as exc:
             exc.epoch, (exc.step, exc.batch_shape) = epoch, at
             raise
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                ce_loss=ce_sum / steps,
-                aux_loss=aux_sum / steps,
-                val_accuracy=val_metrics["accuracy"],
-                test_accuracy=test_metrics["accuracy"],
-                wall_seconds=time.perf_counter() - t0,
-            )
-        )
+        records.append(EpochRecord(epoch, ce_sum / steps, aux_sum / steps,
+                                   val_metrics["accuracy"], test_metrics["accuracy"]))
         if best is None or val_metrics["accuracy"] > best[2]["val"]["accuracy"]:
             best = (epoch, params, {"val": val_metrics, "test": test_metrics})
 
@@ -399,7 +382,7 @@ def _start_worker(dataset: DomainDataset) -> None:
         set_threads(1)
 
 
-def _worker_pool(dataset: DomainDataset, workers: int) -> ProcessPoolExecutor:
+def _worker_pool(dataset: DomainDataset, workers: int):
     # Forked workers inherit the dataset through initargs, so a task pickles
     # only its config. The pool machinery loads here, so runs that stay in
     # this process never import it.
@@ -436,16 +419,21 @@ def _train_cells(dataset: DomainDataset, configs: list, keep_params: bool = Fals
 
 @dataclass
 class SweepResult:
+    """An alpha sweep's reports and the tables derived from them: val_acc and
+    test_acc (n_alphas, n_seeds), their means and stds over the seeds, and
+    the selected alpha, the first with the best mean validation accuracy."""
+
     alphas: list
     seeds: list
-    val_acc: np.ndarray  # (n_alphas, n_seeds)
-    test_acc: np.ndarray
-    selected_alpha: float
     reports: list  # list (per alpha) of lists (per seed) of RunReport
 
     def __post_init__(self):
+        self.val_acc, self.test_acc = (
+            np.array([[r.final[split]["accuracy"] for r in row] for row in self.reports]) for split in ("val", "test")
+        )
         self.val_means, self.val_stds = mean_std(self.val_acc)
         self.test_means, self.test_stds = mean_std(self.test_acc)
+        self.selected_alpha = self.alphas[int(np.argmax(self.val_means))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -472,23 +460,26 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds)
     """Train per (alpha, seed) cell and aggregate mean/std accuracies.
 
     The selected alpha maximizes mean validation accuracy (first maximum in
-    the given order). Cells run in parallel worker processes when the
-    OTDA_THREADS environment variable is above 1.
+    the given order). Two alphas that print as the same run id label are
+    refused before any cell trains. Cells run in parallel worker processes
+    when the OTDA_THREADS environment variable is above 1.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ConfigurationError("need at least one alpha value")
+    seen = {}
+    for alpha in alphas:
+        label = f"{alpha:g}"
+        if label in seen:
+            raise ConfigurationError(f"alphas {seen[label]!r} and {alpha!r} share the run id label {label}")
+        seen[label] = alpha
     seeds = _seed_list(seeds)
 
     if base_config.method == "erm":
         raise ConfigurationError("alpha sweep needs a method with an alignment term (ot or dann)")
     configs = [replace(base_config, alpha=alpha, seed=seed) for alpha in alphas for seed in seeds]
     flat = _train_cells(dataset, configs)
-    reports = [flat[i * len(seeds):(i + 1) * len(seeds)] for i in range(len(alphas))]
-    val_acc = np.array([[r.final["val"]["accuracy"] for r in row] for row in reports])
-    test_acc = np.array([[r.final["test"]["accuracy"] for r in row] for row in reports])
-    selected_alpha = alphas[int(np.argmax(mean_std(val_acc)[0]))]
-    return SweepResult(alphas, seeds, val_acc, test_acc, selected_alpha, reports)
+    return SweepResult(alphas, seeds, [flat[i * len(seeds):(i + 1) * len(seeds)] for i in range(len(alphas))])
 
 
 def run_seeds(dataset: DomainDataset, config: TrainConfig, seeds, keep_params: bool = False) -> list:
@@ -515,9 +506,7 @@ def load_report(path) -> RunReport:
 
 
 def write_epoch_csv(report: RunReport, path) -> Path:
-    rows = [["epoch", "ce_loss", "aux_loss", "val_accuracy", "test_accuracy"]]
-    for r in report.epochs:
-        rows.append(
-            [r.epoch, f"{r.ce_loss:.9g}", f"{r.aux_loss:.9g}", f"{r.val_accuracy:.9g}", f"{r.test_accuracy:.9g}"]
-        )
+    """One row per EpochRecord, its fields in declaration order."""
+    rows = [[f.name for f in fields(EpochRecord)]]
+    rows += [[r.epoch, *(f"{value:.9g}" for value in astuple(r)[1:])] for r in report.epochs]
     return write_csv(path, rows)

@@ -339,13 +339,15 @@ def write_roc_plot(curves: dict, path) -> Path:
 
 
 def curve_series(epochs) -> list:
-    """(name, xs, ys) series of the per-epoch CE loss, alignment loss and
-    validation accuracy of a run's EpochRecords, for line_plot_svg."""
+    """(name, xs, ys) series of the per-epoch CE loss, alignment loss,
+    validation accuracy and test accuracy of a run's EpochRecords, for
+    line_plot_svg: `train` and `report` draw the same curves."""
     xs = [r.epoch for r in epochs]
     return [
         ("CE loss", xs, [r.ce_loss for r in epochs]),
         ("alignment loss", xs, [r.aux_loss for r in epochs]),
         ("validation accuracy", xs, [r.val_accuracy for r in epochs]),
+        ("test accuracy", xs, [r.test_accuracy for r in epochs]),
     ]
 
 

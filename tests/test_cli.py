@@ -299,6 +299,11 @@ class TestExitCodes:
         ["gen-data", "--num-domains", "4"],
         ["gen-data", "--dim", "12"],
         ["gen-data", "--config", {"num_domains": 4}],
+        # two alphas that share a run id label, and seeds the report reader refuses
+        ["sweep", "--alphas", "0.1,0.1000001", "--seeds", "1", "--data", "DATA"],
+        ["sweep", "--alphas", "0.1,0.1", "--seeds", "1", "--data", "DATA"],
+        ["train", "--method", "erm", "--seed", "9223372036854775808", "--data", "DATA"],
+        ["sweep", "--seed", "9223372036854775807", "--seeds", "2", "--data", "DATA"],
     ])
     def test_rejected_command_writes_nothing(self, data_dir, tmp_path, capsys, argv):
         config, out = tmp_path / "config.json", tmp_path / "out"
@@ -756,6 +761,10 @@ class TestOtherCommands:
         out = tmp_path / "rep"
         assert run(["report", "--data", str(run_dir), "--out", str(out)]) == 0
         assert (out / "tables" / "method_comparison.csv").exists()
+        # report redraws the four curves train drew, byte for byte
+        drawn = (run_dir / "plots" / "curves_ot_a0.05_s0.svg").read_bytes()
+        assert drawn.count(b"<polyline") == 4
+        assert (out / "plots" / "curves_ot_a0.05_s0.svg").read_bytes() == drawn
 
     def test_report_keeps_one_plot_per_report(self, data_dir, tmp_path, capsys):
         # train and a one-cell sweep both write report_ot_a0.05_s0.json
