@@ -436,7 +436,7 @@ def run(argv) -> int:
     except NumericError as exc:
         _emit_error(exc)
         return 2
-    except (OtdaError, OSError) as exc:
+    except (OtdaError, OSError, MemoryError) as exc:
         _emit_error(exc)
         return 1
 

@@ -236,20 +236,22 @@ def composite_loss_and_grads(params: ModelParams, source_batch: tuple, target_ba
     return ce_loss, aux_loss, grads
 
 
-def composite_loss_step(params: ModelParams, source_batch: tuple, target_batch, config: TrainConfig) -> tuple:
-    """One SGD step on CE + alpha * the alignment term of config.method.
-    Returns (params, ce_loss, aux_loss).
+def composite_loss_step(params: ModelParams, velocity: ModelParams, source_batch: tuple, target_batch,
+                        config: TrainConfig) -> tuple:
+    """One SGD step on CE + alpha * the alignment term of config.method;
+    velocity, the momentum, is updated in place. Returns (params, ce_loss, aux_loss).
 
     Sinkhorn failure aborts the step by raising, so a sweep never silently
     drops its alignment term.
     """
     ce_loss, aux_loss, grads = composite_loss_and_grads(params, source_batch, target_batch, config)
-    return sgd_step(params, grads, config.optimizer), ce_loss, aux_loss
+    return sgd_step(params, grads, velocity, config.optimizer), ce_loss, aux_loss
 
 
-def dann_step(params: ModelParams, source_batch: tuple, target_batch: np.ndarray, config: TrainConfig) -> tuple:
+def dann_step(params: ModelParams, velocity: ModelParams, source_batch: tuple, target_batch: np.ndarray,
+              config: TrainConfig) -> tuple:
     """composite_loss_step with the adversary term whatever config.method says."""
-    return composite_loss_step(params, source_batch, target_batch, replace(config, method="dann"))
+    return composite_loss_step(params, velocity, source_batch, target_batch, replace(config, method="dann"))
 
 
 # Symbol spellings of OpenBLAS's thread controls, most specific first: the
@@ -317,6 +319,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
         domain_head_widths=(16,) if config.method == "dann" else None,
         seed=config.seed,
     )
+    velocity = ModelParams(params.layout, np.zeros(params.layout.size))  # the SGD momentum
     rng = np.random.default_rng([int(config.seed), 2])
     n_train, n_val = len(x_train), len(x_val)
 
@@ -335,7 +338,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 take = np.arange(start, start + len(idx)) % n_val
                 at = (steps, (len(idx), len(take)))
                 params, ce_loss, aux_loss = composite_loss_step(
-                    params, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
+                    params, velocity, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
                 )
                 ce_sum += ce_loss
                 aux_sum += aux_loss

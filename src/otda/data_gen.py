@@ -64,6 +64,9 @@ _CLASS1_FRACTION_RANGE = (0.4, 0.6)
 # and subcluster axes; the generator seed drives sampling and shift jitter.
 _GEOMETRY_SEED = 173
 
+# The most rows per domain whose features (all domains, float64) numpy can index.
+_MAX_SAMPLES_PER_DOMAIN = np.iinfo(np.intp).max // (len(_INSTITUTIONS) * NUM_FEATURES * 8)
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -73,6 +76,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.samples_per_domain < 100:
             raise ConfigurationError("samples_per_domain must be >= 100")
+        if self.samples_per_domain > _MAX_SAMPLES_PER_DOMAIN:
+            raise ConfigurationError(f"samples_per_domain must be <= {_MAX_SAMPLES_PER_DOMAIN}, "
+                                     f"got {self.samples_per_domain}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 

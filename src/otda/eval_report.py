@@ -247,18 +247,22 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _QUARTER_MAX = float(np.finfo(float).max) / 4
 
 
-def _quarter_range(values) -> tuple:
-    """The least and greatest of values, in quarters. Both axes are laid out
-    in quarters of the values: a power of two scales exactly, so ordinary
-    plots keep their bytes, and the span of any two doubles stays finite.
-    A zero span widens by 0.25, or by a share of the magnitude where 0.25
-    rounds away, and downward where upward would pass _QUARTER_MAX."""
-    lo, hi = min(values) / 4, max(values) / 4
+def _axis_range(values) -> tuple:
+    """(lo, hi, unit): the least and greatest of values, times unit. An axis
+    with a value past 2**1020 in magnitude is laid out in quarters (unit
+    0.25), so the span of any two doubles stays finite; any other in the
+    values themselves (unit 1), so subnormals keep every bit. A power of two
+    scales ordinary values exactly, so both layouts draw them in the same
+    bytes. A zero span widens by one value, or by a share of the magnitude
+    where that rounds away, and downward where upward would pass _QUARTER_MAX."""
+    lo, hi = min(values), max(values)
+    unit = 0.25 if max(-lo, hi) > 2.0**1020 else 1.0
+    lo, hi = lo * unit, hi * unit
     if hi == lo:
-        hi = lo + max(0.25, abs(lo) / 2**20)
+        hi = lo + max(unit, abs(lo) / 2**20)
         if hi > _QUARTER_MAX:
             lo, hi = 2 * lo - hi, lo
-    return lo, hi
+    return lo, hi, unit
 
 
 def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
@@ -269,15 +273,15 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ContractViolationError("nothing to plot")
-    # tick labels scale the quarters back
-    x_lo, x_hi = _quarter_range(xs_all)
-    y_lo, y_hi = _quarter_range(ys_all)
+    # coordinates take values times the axis unit; tick labels scale back
+    x_lo, x_hi, x_unit = _axis_range(xs_all)
+    y_lo, y_hi, y_unit = _axis_range(ys_all)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = max(y_lo - pad, -_QUARTER_MAX), min(y_hi + pad, _QUARTER_MAX)
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
-    def sx(q):  # q: a value's quarter
+    def sx(q):  # q: a value times its axis unit
         return _ML + (q - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(q):
@@ -297,14 +301,14 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
         parts.append(f'<line x1="{px:.2f}" y1="{_MT + plot_h}" x2="{px:.2f}" y2="{_MT + plot_h + 5}" stroke="#333"/>')
         parts.append(
             f'<text x="{px:.2f}" y="{_MT + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{4 * tx:.3g}</text>'
+            f'font-family="sans-serif" font-size="11">{tx / x_unit:.3g}</text>'
         )
     for ty in np.linspace(y_lo, y_hi, 5).tolist():
         py = sy(ty)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="#333"/>')
         parts.append(
             f'<text x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{4 * ty:.3g}</text>'
+            f'font-family="sans-serif" font-size="11">{ty / y_unit:.3g}</text>'
         )
     parts.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
@@ -316,7 +320,7 @@ def line_plot_svg(series, title: str, xlabel: str, ylabel: str, path) -> Path:
     )
     for i, (name, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(x / 4):.2f},{sy(y / 4):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{sx(x * x_unit):.2f},{sy(y * y_unit):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')

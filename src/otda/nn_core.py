@@ -33,7 +33,7 @@ CHECKPOINT_VERSION = 1
 
 class DenseLayer(NamedTuple):
     """A dense layer's weight (fan_in, fan_out) and bias (fan_out,). In
-    ModelParams and ModelGrads both are views into the model's flat buffer."""
+    ModelParams both are views into the model's flat buffer."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -96,22 +96,22 @@ class _Layout:
 
 class ModelParams:
     """Featurizer + classifier weights and an optional domain-discriminator
-    head in one flat float64 array, and their momentum in a second array of
-    the same layout.
+    head in one flat float64 array. Gradients and SGD momentum are
+    ModelParams of the model's layout too.
 
     featurizer, classifier and domain_head (None when absent) are tuples of
     DenseLayer views into flat: writing through a layer writes the model.
     """
 
-    def __init__(self, layout: _Layout, flat: np.ndarray, velocity: np.ndarray):
-        if flat.shape != (layout.size,) or velocity.shape != (layout.size,):
-            raise ContractViolationError(f"parameter and momentum buffers must hold {layout.size} entries")
-        self.layout, self.flat, self.velocity = layout, flat, velocity
+    def __init__(self, layout: _Layout, flat: np.ndarray):
+        if flat.shape != (layout.size,):
+            raise ContractViolationError(f"buffer of shape {flat.shape} does not fit a layout of {layout.size} entries")
+        self.layout, self.flat = layout, flat
         self.featurizer, self.classifier, self.domain_head = layout.views(flat)
 
     def __reduce__(self):
-        # pickle the buffers, not the views, so an unpickled model shares them too
-        return ModelParams, (self.layout, self.flat, self.velocity)
+        # pickle the buffer, not the views, so an unpickled model shares it too
+        return ModelParams, (self.layout, self.flat)
 
     @property
     def input_dim(self) -> int:
@@ -126,7 +126,7 @@ class ModelParams:
         return self.classifier[-1].weight.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.layout, self.flat.copy(), self.velocity.copy())
+        return ModelParams(self.layout, self.flat.copy())
 
 
 @dataclass
@@ -169,14 +169,14 @@ def _init_layers(widths, rng) -> list:
 
 
 def _model_from_layers(featurizer, classifier, domain_head) -> ModelParams:
-    """A model holding copies of the layers' arrays, with zero momentum."""
+    """A model holding copies of the layers' arrays."""
 
     def shapes(layers):
         return None if layers is None else tuple(l.weight.shape for l in layers)
 
     layout = _Layout(shapes(featurizer), shapes(classifier), shapes(domain_head))
     flat = _flatten([*featurizer, *classifier, *(domain_head or ())])
-    return ModelParams(layout, flat, np.zeros(layout.size))
+    return ModelParams(layout, flat)
 
 
 def init_model(
@@ -324,18 +324,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
     return loss, grads
 
 
-class ModelGrads:
-    """Gradients in the flat layout of ModelParams, over the whole model;
-    featurizer, classifier and domain_head (None when absent) are tuples of
-    (dW, db) views into the buffer."""
-
-    def __init__(self, layout: _Layout, flat: np.ndarray):
-        if flat.shape != (layout.size,):
-            raise ContractViolationError(f"gradient buffer of shape {flat.shape} does not fit the model's layout")
-        self.layout, self.flat = layout, flat
-        self.featurizer, self.classifier, self.domain_head = layout.views(flat)
-
-
 def _norm_backward(dy, y, scale, floored):
     """Gradient through y = (z - mean z) / s. For rows above the floor s
     depends on z; for floored rows s is the constant sqrt(floor).
@@ -364,7 +352,7 @@ def backward(
     trace: ForwardTrace,
     upstream_feature_grads: np.ndarray | None,
     upstream_logit_grads: np.ndarray | None,
-) -> ModelGrads:
+) -> ModelParams:
     """Reverse-mode gradients of any scalar loss whose partials with respect
     to the features and/or the logits are supplied.
 
@@ -376,7 +364,7 @@ def backward(
     if trace.features.shape[1] != params.feature_dim:
         raise ContractViolationError("trace feature width does not match the model")
 
-    grads = ModelGrads(params.layout, np.zeros(params.layout.size))
+    grads = ModelParams(params.layout, np.zeros(params.layout.size))
     # The feature gradient is the sum 0 + dx + g, which is +0.0 where dx and
     # g are both -0.0: adding +0.0 first keeps that without a zero buffer.
     grad = None
@@ -408,24 +396,23 @@ def backward(
     return grads
 
 
-def sgd_step(params: ModelParams, grads: ModelGrads, config: OptimizerConfig) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, velocity: ModelParams, config: OptimizerConfig) -> ModelParams:
     """One SGD-with-momentum step over the flat buffers:
     v <- mu v + (g + wd * w); w <- w - lr v.
 
-    Weight decay applies to weight entries only, never biases. Returns a new
-    ModelParams; the input is not mutated.
+    Weight decay applies to weight entries only, never biases. The momentum
+    velocity is updated in place; returns new weights, and neither params
+    nor grads is mutated.
     """
-    if grads.layout != params.layout:
-        raise ContractViolationError("gradients do not match the model's layout")
+    if not params.layout == grads.layout == velocity.layout:
+        raise ContractViolationError("gradients and momentum do not match the model's layout")
     # where= leaves bias entries at exactly g: a float mask's 0 * w term
     # would turn a -0.0 gradient into +0.0.
     step = grads.flat.copy()
     np.add(step, config.weight_decay * params.flat, out=step, where=params.layout.is_weight)
-    new = params.copy()
-    new.velocity *= config.momentum
-    new.velocity += step
-    new.flat -= np.multiply(config.learning_rate, new.velocity, out=step)
-    return new
+    velocity.flat *= config.momentum
+    velocity.flat += step
+    return ModelParams(params.layout, params.flat - np.multiply(config.learning_rate, velocity.flat, out=step))
 
 
 def _layers_to_json(layers):
@@ -458,8 +445,7 @@ def _layers_from_json(spec, where, name):
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write weights as a self-describing JSON container (momentum buffers are
-    not persisted; a loaded model starts with zero velocity)."""
+    """Write weights as a self-describing JSON container."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from otda import da_train
+from otda.nn_core import ModelParams
 from otda.ot_core import SinkhornConfig
 
 
@@ -78,6 +79,11 @@ def grads_arrays(grads):
     """The featurizer's and classifier's gradient blocks in model_arrays's
     order and shapes; the domain head's are left out."""
     return [a.reshape(-1) for layer in grads.featurizer + grads.classifier for a in layer]
+
+
+def zeros_like(params):
+    """A zero buffer in params's layout: fresh momentum, or a gradient to fill."""
+    return ModelParams(params.layout, np.zeros(params.layout.size))
 
 
 def params_equal(a_layers, b_layers):

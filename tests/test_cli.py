@@ -299,6 +299,9 @@ class TestExitCodes:
         ["gen-data", "--num-domains", "4"],
         ["gen-data", "--dim", "12"],
         ["gen-data", "--config", {"num_domains": 4}],
+        # more rows than numpy can index, refused before any allocation
+        ["gen-data", "--samples-per-domain", str(2**62)],
+        ["gen-data", "--samples-per-domain", str(10**20)],
         # two alphas that share a run id label, and seeds the report reader refuses
         ["sweep", "--alphas", "0.1,0.1000001", "--seeds", "1", "--data", "DATA"],
         ["sweep", "--alphas", "0.1,0.1", "--seeds", "1", "--data", "DATA"],
@@ -319,6 +322,19 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert code == 1
         assert json.loads(line)["error"] == "ConfigurationError"
+        assert not out.exists()
+
+    def test_memory_error_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        def allocate(config):
+            raise MemoryError("Unable to allocate 33.4 TiB for an array with shape (4589890808404,)")
+
+        monkeypatch.setattr(data_gen, "generate", allocate)
+        out = tmp_path / "out"
+        code = run(["gen-data", "--samples-per-domain", str(10**13), "--out", str(out)])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert json.loads(line) == {"error": "MemoryError", "message": "Unable to allocate 33.4 TiB for an array "
+                                                                      "with shape (4589890808404,)"}
         assert not out.exists()
 
     def test_bad_worker_count_is_config_error(self, data_dir, tmp_path, capsys, monkeypatch):
@@ -417,7 +433,7 @@ _OUT_OF_RANGE = {
     "epochs": st.integers(max_value=0),
     "batch_size": st.integers(max_value=0),
     "seeds": st.integers(max_value=0),
-    "samples_per_domain": st.integers(max_value=99),
+    "samples_per_domain": st.integers(max_value=99) | st.integers(min_value=data_gen._MAX_SAMPLES_PER_DOMAIN + 1),
     "alpha": st.floats(max_value=-_tiny) | st.integers(max_value=-1),
     "epsilon": st.floats(max_value=0.0) | st.integers(max_value=0),
     "lr": st.floats(max_value=0.0) | st.integers(max_value=0),

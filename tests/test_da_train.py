@@ -22,6 +22,7 @@ from helpers import (
     raises_exactly,
     record_blas_threads,
     rel_err,
+    zeros_like,
 )
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import (
@@ -69,6 +70,11 @@ def small_config(**kwargs):
     return TrainConfig(**defaults)
 
 
+def fresh_step(step, params, source, target, config):
+    """A training step from params with zero momentum, as a run's first step."""
+    return step(params, zeros_like(params), source, target, config)
+
+
 def batch_from(ds, rng, size=16):
     idx = rng.choice(np.flatnonzero(ds.splits == "train"), size, replace=False)
     tidx = rng.choice(np.flatnonzero(ds.splits == "val"), size, replace=False)
@@ -110,9 +116,9 @@ class TestCompositeStep:
         rng = np.random.default_rng(0)
         source, target = batch_from(tiny_ds, rng)
         params = init_model(8, seed=1)
-        erm_params, erm_ce, _ = composite_loss_step(params, source, target, small_config(method="erm"))
-        ot_params, ot_ce, ot_loss = composite_loss_step(
-            params, source, target, small_config(method="ot", alpha=0.0)
+        erm_params, erm_ce, _ = fresh_step(composite_loss_step, params, source, target, small_config(method="erm"))
+        ot_params, ot_ce, ot_loss = fresh_step(
+            composite_loss_step, params, source, target, small_config(method="ot", alpha=0.0)
         )
         assert erm_ce == ot_ce and ot_loss == 0.0
         assert params_equal(erm_params.featurizer, ot_params.featurizer)
@@ -145,7 +151,7 @@ class TestCompositeStep:
         source, target = batch_from(tiny_ds, rng)
         params = init_model(8, seed=3)
         with pytest.raises(ContractViolationError):
-            composite_loss_step(params, source, target[:-3], small_config(method="ot", alpha=0.1))
+            fresh_step(composite_loss_step, params, source, target[:-3], small_config(method="ot", alpha=0.1))
 
     def test_composite_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -174,8 +180,8 @@ class TestDannStep:
         erm_params = init_model(8, seed=6)
         dann_params = init_model(8, domain_head_widths=(16,), seed=6)
         assert params_equal(erm_params.featurizer, dann_params.featurizer)
-        stepped_erm, _, _ = composite_loss_step(erm_params, source, target, small_config(method="erm"))
-        stepped_dann, _, _ = dann_step(dann_params, source, target, small_config(method="dann", alpha=0.0))
+        stepped_erm, _, _ = fresh_step(composite_loss_step, erm_params, source, target, small_config(method="erm"))
+        stepped_dann, _, _ = fresh_step(dann_step, dann_params, source, target, small_config(method="dann", alpha=0.0))
         assert params_equal(stepped_erm.featurizer, stepped_dann.featurizer)
         assert params_equal(stepped_erm.classifier, stepped_dann.classifier)
         # the head itself must have moved
@@ -188,8 +194,8 @@ class TestDannStep:
         params.domain_head[-1].weight[:] = 0.0
         params.domain_head[-1].bias[:] = 0.0
         erm_ref = init_model(8, seed=7)
-        stepped_ref, _, _ = composite_loss_step(erm_ref, source, target, small_config(method="erm"))
-        stepped, _, domain_loss = dann_step(params, source, target, small_config(method="dann", alpha=0.7))
+        stepped_ref, _, _ = fresh_step(composite_loss_step, erm_ref, source, target, small_config(method="erm"))
+        stepped, _, domain_loss = fresh_step(dann_step, params, source, target, small_config(method="dann", alpha=0.7))
         assert domain_loss == pytest.approx(np.log(2.0), abs=1e-12)
         assert params_equal(stepped.featurizer, stepped_ref.featurizer)
 
@@ -198,8 +204,8 @@ class TestDannStep:
         source, target = batch_from(tiny_ds, rng)
         params = init_model(8, domain_head_widths=(16,), seed=9)
         config = small_config(method="dann", alpha=0.4)
-        via_dann, ce_a, aux_a = dann_step(params, source, target, config)
-        via_composite, ce_b, aux_b = composite_loss_step(params, source, target, config)
+        via_dann, ce_a, aux_a = fresh_step(dann_step, params, source, target, config)
+        via_composite, ce_b, aux_b = fresh_step(composite_loss_step, params, source, target, config)
         assert (ce_a, aux_a) == (ce_b, aux_b)
         assert [a.tobytes() for a in model_arrays(via_dann)] == [a.tobytes() for a in model_arrays(via_composite)]
 
@@ -207,8 +213,8 @@ class TestDannStep:
         rng = np.random.default_rng(8)
         source, target = batch_from(tiny_ds, rng)
         params = init_model(8, domain_head_widths=(16,), seed=10)
-        reference, _, domain_loss = dann_step(params, source, target, small_config(method="dann", alpha=0.4))
-        stepped, _, aux_loss = dann_step(params, source, target, small_config(method="ot", alpha=0.4))
+        reference, _, domain_loss = fresh_step(dann_step, params, source, target, small_config(method="dann", alpha=0.4))
+        stepped, _, aux_loss = fresh_step(dann_step, params, source, target, small_config(method="ot", alpha=0.4))
         assert aux_loss == domain_loss
         assert [a.tobytes() for a in model_arrays(stepped)] == [a.tobytes() for a in model_arrays(reference)]
         assert not params_equal(params.domain_head, stepped.domain_head)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import probe_accuracy, raises_exactly
+from otda import data_gen
 from otda.data_gen import (
     SPLITS,
     DomainDataset,
@@ -191,6 +192,15 @@ class TestGenerate:
             GeneratorConfig(samples_per_domain=50)
         with pytest.raises(ConfigurationError, match="seed"):
             GeneratorConfig(seed=-1)
+
+    def test_counts_numpy_cannot_index_are_refused(self):
+        # the feature matrix of the largest count still fits numpy's index type
+        largest = data_gen._MAX_SAMPLES_PER_DOMAIN
+        assert 5 * largest * data_gen.NUM_FEATURES * 8 <= np.iinfo(np.intp).max
+        GeneratorConfig(samples_per_domain=largest)
+        for count in (largest + 1, 2**62, 10**20):
+            with pytest.raises(ConfigurationError, match=f"samples_per_domain must be <= {largest}, got {count}"):
+                GeneratorConfig(samples_per_domain=count)
 
 
 class TestDigest:

@@ -270,8 +270,10 @@ class TestEmitters:
 
     def test_line_plot_svg_is_wellformed(self, tmp_path):
         big = float(np.finfo(float).max)
-        # the first series is the CLI's kind; the rest are finite series at
-        # the double range whose span is zero or overflows a double
+        tiny = [5e-324, 1e-323, 1.5e-323]
+        # the first series is the CLI's kind; then finite series at the
+        # double range whose span is zero or overflows a double, and
+        # subnormal ones, whose distinct values must draw apart
         for xs, ys in [
             ([0, 1, 2], [0.1, 0.5, 0.3]),
             ([0, 1], [2.0**54, 2.0**54]),
@@ -280,6 +282,8 @@ class TestEmitters:
             ([2.0**60, 2.0**60], [0.0, 1.0]),
             ([big, big], [0.0, 1.0]),
             ([-1.7e308, 1.7e308], [-1.7e308, 1.7e308]),
+            (tiny, [0.0, 0.5, 1.0]),
+            ([0, 1, 2], tiny),
         ]:
             path = line_plot_svg([("s", xs, ys)], "t", "x", "y", tmp_path / "p.svg")
             text = path.read_text()
@@ -290,3 +294,6 @@ class TestEmitters:
             for point in points.split():
                 px, py = map(float, point.split(","))
                 assert 70 <= px <= 620 and 40 <= py <= 350, (xs, ys, point)  # the plot box
+            for axis, values in enumerate((xs, ys)):
+                drawn = {point.split(",")[axis] for point in points.split()}
+                assert len(drawn) == len(set(values)), (xs, ys, points)

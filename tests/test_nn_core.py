@@ -11,11 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import central_diff, grads_arrays, model_arrays, params_equal, raises_exactly, rel_err
+from helpers import central_diff, grads_arrays, model_arrays, params_equal, raises_exactly, rel_err, zeros_like
 from otda.errors import ContractViolationError, ParseError
 from otda.nn_core import (
     VARIANCE_FLOOR,
-    ModelGrads,
     ModelParams,
     OptimizerConfig,
     _norm_backward,
@@ -44,8 +43,8 @@ def _traced(params, rows=4):
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: init_model(4, feature_widths=()), "featurizer has no layers", id="no-featurizer"),
-    pytest.param(lambda: ModelParams(tiny_model().layout, np.zeros(3), np.zeros(3)),
-                 f"parameter and momentum buffers must hold {tiny_model().layout.size} entries", id="buffer-size"),
+    pytest.param(lambda: ModelParams(tiny_model().layout, np.zeros(3)),
+                 f"buffer of shape (3,) does not fit a layout of {tiny_model().layout.size} entries", id="buffer-size"),
     pytest.param(lambda: forward_classifier(tiny_model(), np.zeros((2, 7))),
                  "features of shape (2, 7) do not match classifier input width 5", id="classifier-width"),
     pytest.param(lambda: cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int)),
@@ -388,43 +387,42 @@ class TestBackward:
 
 
 class TestSgdStep:
-    def zero_grads(self, params):
-        return ModelGrads(params.layout, np.zeros(params.layout.size))
-
     def test_plain_gradient_descent(self):
         params = tiny_model(seed=12)
-        grads = self.zero_grads(params)
+        grads = zeros_like(params)
         grads.featurizer[0].weight[...] = 1.0
         before = params.featurizer[0].weight.copy()
-        updated = sgd_step(params, grads, OptimizerConfig(0.05, 0.0, 0.0))
+        updated = sgd_step(params, grads, zeros_like(params), OptimizerConfig(0.05, 0.0, 0.0))
         assert np.allclose(updated.featurizer[0].weight, before - 0.05)
 
     def test_weight_decay_closed_form(self):
         params = tiny_model(seed=13)
         before_w = params.featurizer[1].weight.copy()
         before_b = params.featurizer[1].bias.copy()
-        updated = sgd_step(params, self.zero_grads(params), OptimizerConfig(0.1, 0.0, 0.5))
+        updated = sgd_step(params, zeros_like(params), zeros_like(params), OptimizerConfig(0.1, 0.0, 0.5))
         assert np.allclose(updated.featurizer[1].weight, before_w * (1 - 0.1 * 0.5))
         assert np.array_equal(updated.featurizer[1].bias, before_b)
 
     def test_momentum_unroll(self):
         params = tiny_model(seed=14)
-        grads = self.zero_grads(params)
+        grads, velocity = zeros_like(params), zeros_like(params)
         g = np.ones_like(params.classifier[0].weight)
         grads.classifier[0].weight[...] = g
         before = params.classifier[0].weight.copy()
         config = OptimizerConfig(1.0, 0.9, 0.0)
-        params = sgd_step(params, grads, config)
-        params = sgd_step(params, grads, config)
+        params = sgd_step(params, grads, velocity, config)
+        params = sgd_step(params, grads, velocity, config)
         assert np.allclose(params.classifier[0].weight - before, -2.9 * g)
+        assert np.allclose(velocity.classifier[0].weight, 1.9 * g)
 
     def test_original_params_not_mutated(self):
         params = tiny_model(seed=15)
-        before = params.featurizer[0].weight.copy()
-        grads = self.zero_grads(params)
+        before = params.flat.copy()
+        grads = zeros_like(params)
         grads.featurizer[0].weight[...] = 1.0
-        sgd_step(params, grads, OptimizerConfig(0.1, 0.5, 0.0))
-        assert np.array_equal(params.featurizer[0].weight, before)
+        before_grads = grads.flat.copy()
+        sgd_step(params, grads, zeros_like(params), OptimizerConfig(0.1, 0.5, 0.0))
+        assert np.array_equal(params.flat, before) and np.array_equal(grads.flat, before_grads)
 
     def test_matches_per_layer_update_bitwise(self):
         # the per-layer update that sgd_step replaced is the reference; the
@@ -433,18 +431,19 @@ class TestSgdStep:
         params = tiny_model(seed=18, domain_head=True)
         rng = np.random.default_rng(18)
         params.flat[:] = rng.standard_normal(params.flat.size)
-        params.velocity[:] = rng.standard_normal(params.flat.size)
-        grads = ModelGrads(params.layout, rng.standard_normal(params.flat.size))
-        for layer in grads.featurizer + params.layout.views(params.velocity)[0]:
+        velocity = ModelParams(params.layout, rng.standard_normal(params.flat.size))
+        grads = ModelParams(params.layout, rng.standard_normal(params.flat.size))
+        for layer in grads.featurizer + velocity.featurizer:
             layer.bias[...] = -0.0
+        before = velocity.copy()
         config = OptimizerConfig(0.05, 0.9, 0.01)
-        stepped = sgd_step(params, grads, config)
+        stepped = sgd_step(params, grads, velocity, config)
 
-        def layers(buf):
-            return sum(params.layout.views(buf), ())
+        def layers(model):
+            return model.featurizer + model.classifier + model.domain_head
 
-        buffers = (params.flat, grads.flat, params.velocity, stepped.flat, stepped.velocity)
-        for w, g, v, new_w, new_v in zip(*map(layers, buffers)):
+        models = (params, grads, before, stepped, velocity)
+        for w, g, v, new_w, new_v in zip(*map(layers, models)):
             vw = v.weight * config.momentum
             vw += g.weight + config.weight_decay * w.weight
             vb = v.bias * config.momentum
@@ -457,13 +456,15 @@ class TestSgdStep:
         params = tiny_model(seed=19, domain_head=True)
         head = sum(layer.weight.size + layer.bias.size for layer in params.domain_head)
         for size in (params.layout.size - head, params.layout.size + 1):  # stopping before the head, or past it
-            with pytest.raises(ContractViolationError, match="does not fit the model's layout"):
-                ModelGrads(params.layout, np.zeros(size))
-        with pytest.raises(ContractViolationError, match="do not match the model's layout"):
-            sgd_step(tiny_model(seed=19), ModelGrads(params.layout, np.zeros(params.layout.size)), OptimizerConfig())
+            with pytest.raises(ContractViolationError, match="does not fit a layout"):
+                ModelParams(params.layout, np.zeros(size))
+        headless = tiny_model(seed=19)
+        for grads, velocity in ((params, headless), (headless, params)):
+            with pytest.raises(ContractViolationError, match="do not match the model's layout"):
+                sgd_step(headless, zeros_like(grads), zeros_like(velocity), OptimizerConfig())
 
     def test_grad_components_reject_assignment(self):
-        grads = self.zero_grads(tiny_model(seed=20))
+        grads = zeros_like(tiny_model(seed=20))
         with pytest.raises(TypeError):
             grads.featurizer[0] = (np.ones((4, 6)), np.zeros(6))
 
@@ -478,7 +479,6 @@ class TestFlatBuffer:
             for layer in model.featurizer + model.classifier + model.domain_head:
                 assert np.shares_memory(layer.weight, model.flat) and np.shares_memory(layer.bias, model.flat)
         assert not np.shares_memory(copied.flat, params.flat)
-        assert not np.shares_memory(copied.velocity, params.velocity)
 
 
 class TestInitialization:
@@ -506,7 +506,7 @@ class TestCheckpoint:
         assert params_equal(params.featurizer, loaded.featurizer)
         assert params_equal(params.classifier, loaded.classifier)
         assert params_equal(params.domain_head, loaded.domain_head)
-        assert loaded.velocity.shape == params.flat.shape and not loaded.velocity.any()
+        assert loaded.layout == params.layout
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -8,15 +8,17 @@ benchmark's folder gets no new files.
 
 import importlib
 import inspect
+import math
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otda import eval_report, posthoc_align
-from otda.da_train import EpochRecord, RunReport
+from otda import da_train, eval_report, posthoc_align
+from otda.da_train import EpochRecord, RunReport, TrainConfig
 from otda.data_gen import load
 from otda.eval_report import BreakdownCell, roc_auc
 from otda.ot_core import CostMatrix, DiscreteDistribution, SinkhornConfig, ot_value_and_point_grads, sinkhorn
@@ -104,3 +106,23 @@ def test_emit_writers_return_what_they_wrote(tracing, tmp_path):
         assert write(path) == path and path.stat().st_size > 0
     written = eval_report.emit_tables([report], tmp_path / "emit")
     assert written and all(p.stat().st_size > 0 for p in written)
+
+
+@pytest.mark.parametrize("method", ["erm", "ot", "dann"])
+def test_training_steps_through_da_train(small_dataset, monkeypatch, method):
+    """nn_core.sgd_steps counts calls of da_train.sgd_step, and
+    da_train.step_self_s times composite_loss_step and dann_step less what
+    they call: both see a run only if each batch takes one step and one
+    sgd_step, looked up on da_train."""
+    counts = Counter()
+    for attr in ("composite_loss_step", "dann_step", "sgd_step"):
+        def count(*args, _attr=attr, _call=getattr(da_train, attr), **kwargs):
+            counts[_attr] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(da_train, attr, count)
+    config = TrainConfig(method=method, epochs=2, batch_size=128)
+    da_train.train_with_model(small_dataset, config)
+    batches = config.epochs * math.ceil(len(small_dataset.split_arrays("train")[0]) / config.batch_size)
+    assert counts["composite_loss_step"] + counts["dann_step"] == batches
+    assert counts["sgd_step"] == batches
