@@ -463,9 +463,9 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds)
     """Train per (alpha, seed) cell and aggregate mean/std accuracies.
 
     The selected alpha maximizes mean validation accuracy (first maximum in
-    the given order). Two alphas that print as the same run id label are
-    refused before any cell trains. Cells run in parallel worker processes
-    when the OTDA_THREADS environment variable is above 1.
+    the given order). Two alphas that are equal or print as the same run id
+    label are refused before any cell trains. Cells run in parallel worker
+    processes when the OTDA_THREADS environment variable is above 1.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -475,6 +475,8 @@ def alpha_sweep(dataset: DomainDataset, base_config: TrainConfig, alphas, seeds)
         label = f"{alpha:g}"
         if label in seen:
             raise ConfigurationError(f"alphas {seen[label]!r} and {alpha!r} share the run id label {label}")
+        if alpha in seen.values():  # equal with another label: only 0.0 and -0.0
+            raise ConfigurationError(f"alphas {-alpha!r} and {alpha!r} are equal")
         seen[label] = alpha
     seeds = _seed_list(seeds)
 

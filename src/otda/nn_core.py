@@ -227,9 +227,9 @@ def forward_features(params: ModelParams, inputs: np.ndarray, keep_trace: bool =
     """Run the featurizer: dense -> per-sample normalization -> ReLU per block.
 
     Returns (features, trace); the trace feeds backward(). With keep_trace
-    off the trace is None and each block's arrays are dropped before the
-    next block starts, so a pass holds at most one block's input,
-    pre-activation and output; the features are the same bytes.
+    off the trace is None, each block drops its input once the product has
+    run and writes its ReLU over its pre-activation, so a pass holds at most
+    two block-sized arrays; the features are the same bytes.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
@@ -240,16 +240,18 @@ def forward_features(params: ModelParams, inputs: np.ndarray, keep_trace: bool =
     for layer in params.featurizer:
         z = x @ layer.weight
         z += layer.bias
-        # the squares' buffer becomes the block's output
-        out = np.empty_like(z)
-        y, scale, floored = _normalize_rows(z, squares=out)
         if trace is not None:
             trace.inputs.append(x)
+        del x  # untraced, the input is freed before the squares are allocated
+        squares = np.empty_like(z)
+        y, scale, floored = _normalize_rows(z, squares=squares)
+        if trace is not None:
             trace.normalized.append(y)
             trace.scales.append(scale)
             trace.floored.append(floored)
-        x = np.maximum(y, 0.0, out=out)
-        del z, y  # untraced, the pre-activation is freed before the next block allocates
+        # traced, backward reads y, so the squares' buffer becomes the output
+        x = np.maximum(y, 0.0, out=y if trace is None else squares)
+        del z, y, squares
     if trace is not None:
         trace.features = x
     return x, trace

@@ -81,9 +81,11 @@ def evaluate_posthoc(
     {"val": AlignmentResult, "test": ...}.
     """
     x_train, _ = dataset.split_arrays("train")
-    # These passes keep the traces they never read: untraced, they left
-    # glibc's heap laid out so that the solves below peaked about 3 MB higher
-    # in RSS (perfbench cli-posthoc 76.5 -> 79.8 MB).
+    # This pass keeps the trace it never reads. Untraced, it left glibc's
+    # heap laid out so that the solves below peaked in RSS 3.7-4.3 MB higher
+    # at perfbench cli-posthoc --seed 1, 2 and 11 (78.7-79.4 MB against
+    # 74.9-75.1 MB) and 2.5 MB lower at --seed 5. The val and test passes
+    # below run untraced, which lowered it at all five seeds measured.
     source_features, _ = forward_features(erm_params, x_train)
     if source_features.shape[0] > MAX_SOURCE_ROWS:
         rng = np.random.default_rng([SUBSAMPLE_SEED, 3])
@@ -93,7 +95,7 @@ def evaluate_posthoc(
     results = {}
     for split in ("val", "test"):
         x_split, y_split = dataset.split_arrays(split)
-        target_features, _ = forward_features(erm_params, x_split)
+        target_features, _ = forward_features(erm_params, x_split, keep_trace=False)
         pre = accuracy(forward_classifier(erm_params, target_features), y_split)
         aligned, plan = barycentric_map(source_features, target_features, epsilon, metric)
         post = accuracy(forward_classifier(erm_params, aligned), y_split)

@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import cap_training_solver_at_one_iteration, record_blas_threads
@@ -302,8 +302,9 @@ class TestExitCodes:
         # more rows than numpy can index, refused before any allocation
         ["gen-data", "--samples-per-domain", str(2**62)],
         ["gen-data", "--samples-per-domain", str(10**20)],
-        # two alphas that share a run id label, and seeds the report reader refuses
+        # two alphas that share a run id label or are equal, and seeds the report reader refuses
         ["sweep", "--alphas", "0.1,0.1000001", "--seeds", "1", "--data", "DATA"],
+        ["sweep", "--alphas", "0,-0", "--seeds", "1", "--data", "DATA"],
         ["sweep", "--alphas", "0.1,0.1", "--seeds", "1", "--data", "DATA"],
         ["train", "--method", "erm", "--seed", "9223372036854775808", "--data", "DATA"],
         ["sweep", "--seed", "9223372036854775807", "--seeds", "2", "--data", "DATA"],
@@ -374,6 +375,8 @@ class TestConfigFileParsing:
 
     @settings(max_examples=200, deadline=None)
     @given(dest=st.sampled_from(sorted(_TRAIN_FLAGS)), hyphens=st.booleans(), value=_config_values)
+    @example(dest="swap_val_test", hyphens=False, value=True)  # a switch given a JSON bool
+    @example(dest="epsilon", hyphens=False, value=None)  # null for an optional flag
     def test_value_is_what_its_flag_makes_of_it(self, dest, hyphens, value):
         # {"key": value} in a config file ends as --key=<str(value)> ends on
         # the command line: the same value, or ConfigurationError and exit 1.
@@ -465,14 +468,18 @@ def _refused(dest, action):
 
 _FUZZED = {command: _flags(command) for command in ("train", "sweep", "gen-data")}
 _FUZZED_KEYS = [(command, dest) for command, flags in _FUZZED.items() for dest in sorted(flags)]
+_refused_cases = st.sampled_from(_FUZZED_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), _refused(key[1], _FUZZED[key[0]][key[1]])))
 
 
 class TestRefusedConfigValues:
     @settings(max_examples=200, deadline=None)
-    @given(key=st.sampled_from(_FUZZED_KEYS), hyphens=st.booleans(), data=st.data())
-    def test_refused_value_exits_one_and_writes_nothing(self, data_dir, key, hyphens, data):
-        command, dest = key
-        value = data.draw(_refused(dest, _FUZZED[command][dest]), label="value")
+    @given(case=_refused_cases, hyphens=st.booleans())
+    @example(case=(("sweep", "alphas"), "x"), hyphens=False)  # an --alphas list that does not parse
+    @example(case=(("train", "epsilon"), math.nan), hyphens=False)  # a non-finite epsilon
+    @example(case=(("train", "weight_decay"), -1), hyphens=False)  # a negative weight decay
+    def test_refused_value_exits_one_and_writes_nothing(self, data_dir, case, hyphens):
+        (command, dest), value = case
         with tempfile.TemporaryDirectory() as tmp:
             config, out = Path(tmp) / "config.json", Path(tmp) / "out"
             config.write_text(json.dumps({dest.replace("_", "-") if hyphens else dest: value}))

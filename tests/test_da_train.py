@@ -102,6 +102,8 @@ _BATCH = (np.zeros((4, 8)), np.zeros(4, dtype=int))
                  "need at least one alpha value", id="no-alphas"),
     pytest.param(lambda ds: alpha_sweep(ds, small_config(method="ot"), [0.1, 0.1000001], [0]), ConfigurationError,
                  "alphas 0.1 and 0.1000001 share the run id label 0.1", id="alphas-share-a-label"),
+    pytest.param(lambda ds: alpha_sweep(ds, small_config(method="ot"), [0.0, -0.0], [0]), ConfigurationError,
+                 "alphas 0.0 and -0.0 are equal", id="alphas-equal"),
     pytest.param(lambda ds: TrainConfig(seed=2**63), ConfigurationError,
                  "seed must be a 64-bit int >= 0, got 9223372036854775808", id="seed-past-64-bits"),
 ])

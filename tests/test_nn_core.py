@@ -4,6 +4,7 @@ optimizer closed forms, initialization scale, and checkpoint round trips."""
 import json
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ class TestUntracedForward:
         assert np.abs(variance / VARIANCE_FLOOR - 1).max() <= 1e-12
         _, trace = forward_features(params, x)
         assert 0 < trace.floored[0].sum() < len(x)
+
+    def test_pass_holds_two_blocks(self):
+        # a split evaluation's shape: 1 800 rows through the default featurizer
+        params = init_model(8)
+        x = np.random.default_rng(0).standard_normal((1800, 8))
+        forward_features(params, x, keep_trace=False)  # warm up outside the traced window
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            features, _ = forward_features(params, x, keep_trace=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        limit = 2 * 1800 * 64 * 8 + 2**16
+        assert peak - features.nbytes < limit, f"peak {peak} bytes with {features.nbytes}-byte features"
 
 
 class TestBackward:
