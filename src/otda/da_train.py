@@ -337,9 +337,17 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 idx = perm[start:start + config.batch_size]
                 take = np.arange(start, start + len(idx)) % n_val
                 at = (steps, (len(idx), len(take)))
+                weights = params.flat
                 params, ce_loss, aux_loss = composite_loss_step(
                     params, velocity, (x_train[idx], y_train[idx]), x_val[target_perm[take]], config
                 )
+                # A step as long as the weights it updates has left descent
+                # (healthy steps stay under 1% of |w|); |w| = 0 refuses every
+                # step. Norms, as lr**2 would overflow where lr * v is finite.
+                length = np.sqrt(weights @ weights)
+                update = config.optimizer.learning_rate * np.sqrt(velocity.flat @ velocity.flat)
+                if update >= length:
+                    raise NumericError(f"refused a step of |lr * v| = {update:.3g} >= |w| = {length:.3g}")
                 ce_sum += ce_loss
                 aux_sum += aux_loss
                 steps += 1

@@ -134,9 +134,6 @@ class DomainDataset:
         idx = self.split_indices(split)
         return self.features[idx], self.labels[idx]
 
-    def domains_for_split(self, split: str) -> list:
-        return sorted(set(self.domain_ids[self.split_indices(split)].tolist()))
-
 
 def _latent_axes() -> np.ndarray:
     """Three unit directions (class axis, seen-subcluster axis, novel axis),

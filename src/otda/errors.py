@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Two families matter to callers: configuration/contract problems (bad inputs,
-bad shapes, bad files) and numeric failures (Sinkhorn non-convergence, or
-an overflow, invalid or divide fault that numpy raised in training,
-post-hoc alignment or a CLI command). The CLI maps the former to exit code
-1 and the latter to exit code 2.
+bad shapes, bad files) and numeric failures (Sinkhorn non-convergence, a
+training step at least as long as the weights it updates, or an overflow,
+invalid or divide fault that numpy raised in training, post-hoc alignment
+or a CLI command). The CLI maps the former to exit code 1 and the latter
+to exit code 2.
 """
 
 

@@ -41,7 +41,6 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RocCurve:
-    thresholds: np.ndarray  # descending; starts at +inf
     fpr: np.ndarray  # nondecreasing from 0 to 1
     tpr: np.ndarray  # nondecreasing from 0 to 1
     auc: float
@@ -71,11 +70,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     boundary = np.concatenate([distinct, [scores.size - 1]])
     tps = np.cumsum(sorted_pos)[boundary]
     fps = (boundary + 1) - tps
-    thresholds = np.concatenate([[np.inf], sorted_scores[boundary]])
     tpr = np.concatenate([[0.0], tps / n_pos])
     fpr = np.concatenate([[0.0], fps / n_neg])
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
+    return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,6 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.classifier[-1].weight.shape[1]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.layout, self.flat.copy())
-
 
 @dataclass
 class ForwardTrace:
@@ -204,13 +201,13 @@ def init_model(
     return _model_from_layers(featurizer, classifier, domain_head)
 
 
-def _normalize_rows(z: np.ndarray, squares: np.ndarray | None = None):
+def _normalize_rows(z: np.ndarray, squares: np.ndarray):
     """Normalize z's rows in place; returns (z, scale, floored).
 
     np.mean and np.var step by step: sum, divide by the count, and square
     the centered rows, which divided by the scale are also the output. The
     squares go to `squares`, a buffer of z's shape that the caller hands
-    over (a fresh one when None)."""
+    over."""
     k = z.shape[1]
     mean = np.add.reduce(z, axis=1, keepdims=True)
     mean /= k
@@ -244,7 +241,7 @@ def forward_features(params: ModelParams, inputs: np.ndarray, keep_trace: bool =
             trace.inputs.append(x)
         del x  # untraced, the input is freed before the squares are allocated
         squares = np.empty_like(z)
-        y, scale, floored = _normalize_rows(z, squares=squares)
+        y, scale, floored = _normalize_rows(z, squares)
         if trace is not None:
             trace.normalized.append(y)
             trace.scales.append(scale)

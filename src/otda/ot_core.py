@@ -91,7 +91,6 @@ class CostMatrix:
     """Pairwise transport costs between two point clouds."""
 
     entries: np.ndarray
-    metric_tag: str
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -101,13 +100,7 @@ class CostMatrix:
         # matrix; a NaN fails both comparisons. min() raises on an empty array.
         if entries.size and not (entries.min() >= 0 and entries.max() < np.inf):
             raise ContractViolationError("cost entries must be finite and nonnegative")
-        if self.metric_tag not in _METRICS:
-            raise ContractViolationError(f"unknown metric tag {self.metric_tag!r}")
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def shape(self) -> tuple:
-        return self.entries.shape
 
 
 @dataclass
@@ -193,7 +186,7 @@ def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metr
         )
     kernel = _distance_kernel()
     cdist = kernel.cdist_euclidean if metric == EUCLIDEAN else kernel.cdist_sqeuclidean
-    return CostMatrix(cdist(source.points, target.points), metric)
+    return CostMatrix(cdist(source.points, target.points))
 
 
 # The finish of a solve (the rounding's rank-one correction, <gamma, C> and
@@ -221,13 +214,13 @@ def _tree_sum(terms, start, size):
     return _tree_sum(terms, start, half) + _tree_sum(terms, start + half, size - half)
 
 
-def entropy(plan) -> float:
-    """Shannon entropy -sum g log g of a plan (or raw matrix), with 0 log 0 = 0.
+def entropy(gamma) -> float:
+    """Shannon entropy -sum g log g of a coupling matrix, with 0 log 0 = 0.
     The terms g log g are made and summed a block at a time, in C order,
     which is the order of the masked sum; an F-ordered plan is copied for
     it. A zero entry makes the sum NaN, and only then is the masked sum
     taken; a negative, NaN or infinite entry raises ContractViolationError."""
-    flat = np.ascontiguousarray(plan.gamma if isinstance(plan, TransportPlan) else plan, dtype=float).reshape(-1)
+    flat = np.ascontiguousarray(gamma, dtype=float).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         total = _tree_sum(lambda s, e: _xlogx(flat[s:e]), 0, flat.size)
     if np.isfinite(total):

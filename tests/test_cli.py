@@ -234,6 +234,9 @@ class TestExitCodes:
         (["train", "--method", "ot", "--lr", "1e6"], "default_data_dir"),
         (["posthoc", "--lr", "1e6"], "default_data_dir"),
         (["dann", "--lr", "1e6"], "default_data_dir"),
+        # on the small dataset these ran to chance with no overflow and nothing on stderr
+        *((command + ["--lr", lr], "data_dir") for lr in ("10", "100", "1e6")
+          for command in (["train", "--method", "erm"], ["train", "--method", "ot"], ["posthoc"], ["dann"])),
     ])
     def test_diverging_run_is_exit_two(self, request, tmp_path, capsys, monkeypatch, argv, data):
         monkeypatch.setenv("OTDA_THREADS", "2")
@@ -242,8 +245,9 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         payload = json.loads(line)
         assert payload["error"] == "NumericError"
-        assert re.fullmatch(r"overflow encountered in \w+", payload["message"])
-        assert isinstance(payload["epoch"], int) and isinstance(payload["step"], int)
+        # the first step is longer than the weights, before anything overflows
+        assert re.fullmatch(r"refused a step of \|lr \* v\| = \S+ >= \|w\| = \S+", payload["message"])
+        assert (payload["epoch"], payload["step"]) == (0, 0)
         assert len(payload["batch_shape"]) == 2
         assert not out.exists()
 

@@ -143,9 +143,9 @@ def test_library_guard_names_the_fault(tmp_path, call, error, message):
 
 class TestGenerate:
     def test_split_topology(self, default_ds):
-        assert default_ds.domains_for_split("train") == [1, 2, 3]
-        assert default_ds.domains_for_split("val") == [4]
-        assert default_ds.domains_for_split("test") == [5]
+        assert sorted(set(default_ds.domain_ids[default_ds.split_indices("train")].tolist())) == [1, 2, 3]
+        assert sorted(set(default_ds.domain_ids[default_ds.split_indices("val")].tolist())) == [4]
+        assert sorted(set(default_ds.domain_ids[default_ds.split_indices("test")].tolist())) == [5]
 
     def test_determinism(self):
         config = GeneratorConfig(samples_per_domain=150, seed=5)
@@ -245,8 +245,8 @@ class TestSwap:
 
     def test_counts_unchanged(self, default_ds):
         swapped = swap_val_test(default_ds)
-        assert swapped.domains_for_split("val") == [5]
-        assert swapped.domains_for_split("test") == [4]
+        assert sorted(set(swapped.domain_ids[swapped.split_indices("val")].tolist())) == [5]
+        assert sorted(set(swapped.domain_ids[swapped.split_indices("test")].tolist())) == [4]
         for dom in range(1, 6):
             assert (swapped.domain_ids == dom).sum() == (default_ds.domain_ids == dom).sum()
         assert np.array_equal(swapped.features, default_ds.features)

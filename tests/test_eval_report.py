@@ -103,7 +103,6 @@ class TestRocAuc:
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
         assert np.all(np.diff(curve.fpr) >= 0) and np.all(np.diff(curve.tpr) >= 0)
-        assert np.all(np.diff(curve.thresholds) < 0)
         trapezoid = float(np.sum(np.diff(curve.fpr) * (curve.tpr[1:] + curve.tpr[:-1]) / 2))
         assert abs(curve.auc - trapezoid) <= 1e-9
 

@@ -104,21 +104,19 @@ def _uniform(n):
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: DiscreteDistribution(np.zeros((2, 1)), np.full(3, 1 / 3)), ContractViolationError,
                  "weights shape (3,) does not match 2 points", id="weights-shape"),
-    pytest.param(lambda: CostMatrix(np.zeros(3), EUCLIDEAN), ContractViolationError,
+    pytest.param(lambda: CostMatrix(np.zeros(3)), ContractViolationError,
                  "cost entries must be 2-D, got shape (3,)", id="cost-not-2d"),
-    pytest.param(lambda: CostMatrix(np.zeros((2, 2)), "manhattan"), ContractViolationError,
-                 "unknown metric tag 'manhattan'", id="cost-metric-tag"),
     pytest.param(lambda: cost_matrix(_uniform(2), _uniform(2), "manhattan"), ContractViolationError,
                  "unknown metric 'manhattan'", id="cost-matrix-metric"),
     pytest.param(lambda: SinkhornConfig(marginal_tolerance=0.0), ContractViolationError,
                  "marginal_tolerance must be positive", id="tolerance"),
     pytest.param(lambda: SinkhornConfig(max_iterations=0), ContractViolationError,
                  "max_iterations must be >= 1", id="iterations"),
-    pytest.param(lambda: sinkhorn(CostMatrix(np.zeros((2, 3)), EUCLIDEAN), _uniform(2), _uniform(2), SinkhornConfig()),
+    pytest.param(lambda: sinkhorn(CostMatrix(np.zeros((2, 3))), _uniform(2), _uniform(2), SinkhornConfig()),
                  ContractViolationError, "cost shape (2, 3) does not match marginals (2, 2)", id="sinkhorn-cost-shape"),
-    pytest.param(lambda: exact_ot_bruteforce(CostMatrix(np.zeros((2, 3)), EUCLIDEAN), _uniform(2), _uniform(3)),
+    pytest.param(lambda: exact_ot_bruteforce(CostMatrix(np.zeros((2, 3))), _uniform(2), _uniform(3)),
                  UnsupportedInstanceError, "need equal sizes, got 2 and 3", id="bruteforce-sizes"),
-    pytest.param(lambda: exact_ot_bruteforce(CostMatrix(np.zeros((2, 3)), EUCLIDEAN), _uniform(2), _uniform(2)),
+    pytest.param(lambda: exact_ot_bruteforce(CostMatrix(np.zeros((2, 3))), _uniform(2), _uniform(2)),
                  ContractViolationError, "cost shape (2, 3) does not match n=2", id="bruteforce-cost-shape"),
 ])
 def test_library_guard_names_the_fault(call, error, message):
@@ -208,10 +206,10 @@ class TestCostMatrix:
         entries = np.ones((3, 4))
         entries[1, 2] = bad
         with pytest.raises(ContractViolationError):
-            CostMatrix(entries, EUCLIDEAN)
+            CostMatrix(entries)
 
     def test_empty_entries_accepted(self):
-        assert CostMatrix(np.zeros((0, 3)), EUCLIDEAN).shape == (0, 3)
+        assert CostMatrix(np.zeros((0, 3))).entries.shape == (0, 3)
 
     def test_missing_kernel_file_names_path_and_version(self, monkeypatch):
         import importlib.machinery
@@ -299,32 +297,32 @@ class TestEntropy:
 class TestBruteForce:
     def test_zero_diagonal_identity_matching(self):
         src = DiscreteDistribution.uniform(np.zeros((2, 1)))
-        cost = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), EUCLIDEAN)
+        cost = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         plan, value = exact_ot_bruteforce(cost, src, src)
         assert value == 0.0
         assert np.allclose(plan.gamma, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_antidiagonal_matching(self):
         src = DiscreteDistribution.uniform(np.zeros((2, 1)))
-        cost = CostMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), EUCLIDEAN)
+        cost = CostMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         plan, value = exact_ot_bruteforce(cost, src, src)
         assert value == pytest.approx(1.0)
         assert np.allclose(plan.gamma, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_single_pairing(self):
         src = DiscreteDistribution.uniform(np.zeros((1, 1)))
-        _, value = exact_ot_bruteforce(CostMatrix(np.array([[7.0]]), EUCLIDEAN), src, src)
+        _, value = exact_ot_bruteforce(CostMatrix(np.array([[7.0]])), src, src)
         assert value == pytest.approx(7.0)
 
     def test_rejects_nonuniform_weights(self):
         dist = DiscreteDistribution(np.zeros((2, 1)), np.array([0.7, 0.3]))
-        cost = CostMatrix(np.zeros((2, 2)), EUCLIDEAN)
+        cost = CostMatrix(np.zeros((2, 2)))
         with pytest.raises(UnsupportedInstanceError):
             exact_ot_bruteforce(cost, dist, dist)
 
     def test_rejects_large_instances(self):
         dist = DiscreteDistribution.uniform(np.zeros((9, 1)))
-        cost = CostMatrix(np.zeros((9, 9)), EUCLIDEAN)
+        cost = CostMatrix(np.zeros((9, 9)))
         with pytest.raises(UnsupportedInstanceError):
             exact_ot_bruteforce(cost, dist, dist)
 
@@ -492,7 +490,7 @@ class TestSinkhorn:
         cost = cost_matrix(src, tgt)
         config = tight_config(blurred_epsilon(cost, fraction), tol=1e-12, cap=300000)
         fwd = sinkhorn(cost, src, tgt, config)
-        back = sinkhorn(CostMatrix(cost.entries.T, cost.metric_tag), tgt, src, config)
+        back = sinkhorn(CostMatrix(cost.entries.T), tgt, src, config)
         assert abs(fwd.value_cost - back.value_cost) <= 1e-9
         assert np.abs(fwd.gamma - back.gamma.T).max() <= 1e-9
 
@@ -592,7 +590,7 @@ class TestSinkhornFinish:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ot_core, "_FINISH_BLOCK", block)
             mp.setattr(ot_core, "_sinkhorn_stabilized", lambda *args: (gamma.copy(order="K"), 7, converged))
-            plan = sinkhorn(CostMatrix(C, EUCLIDEAN), src, tgt, config)
+            plan = sinkhorn(CostMatrix(C), src, tgt, config)
         expected = reference_round_to_feasible(gamma.copy(order="K"), a, b) if converged else gamma
         value_cost = float(np.sum(expected * C))
         value_regularized = value_cost - config.resolve_epsilon(C) * reference_entropy(expected)

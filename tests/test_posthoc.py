@@ -8,7 +8,7 @@ from otda import posthoc_align
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import TrainConfig, train_with_model
 from otda.errors import ContractViolationError, SinkhornConvergenceError
-from otda.nn_core import forward_classifier, forward_features, init_model
+from otda.nn_core import ModelParams, forward_classifier, forward_features, init_model
 from otda.posthoc_align import barycentric_map, evaluate_posthoc
 
 
@@ -75,7 +75,7 @@ class TestEvaluatePosthoc:
 
     def test_constant_classifier_gives_majority_rate(self, trained):
         dataset, params = trained
-        frozen = params.copy()
+        frozen = ModelParams(params.layout, params.flat.copy())
         for layer in frozen.classifier:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
