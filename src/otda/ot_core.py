@@ -46,7 +46,7 @@ class DiscreteDistribution:
     """A weighted point cloud treated as an empirical probability measure.
 
     points: (n, d) array of feature coordinates.
-    weights: (n,) probability vector.
+    weights: (n,) positive probability vector.
     """
 
     points: np.ndarray
@@ -63,8 +63,8 @@ class DiscreteDistribution:
             )
         if not np.all(np.isfinite(points)):
             raise ContractViolationError("points contain non-finite coordinates")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ContractViolationError("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+            raise ContractViolationError("weights must be finite and positive")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ContractViolationError(f"weights sum to {weights.sum():.12g}, expected 1 within 1e-9")
         object.__setattr__(self, "points", points)
@@ -364,9 +364,9 @@ def sinkhorn(
     factor taken from the observed rate and a fallback to plain steps;
     shorter solves take the plain iterates. iterations_used counts every
     iteration, annealing included, and each plain iteration tried from a
-    relaxed iterate. Atoms of zero weight get zero rows and columns.
+    relaxed iterate.
     """
-    C = cost.entries
+    C = np.ascontiguousarray(cost.entries)
     if C.shape != (source.n, target.n):
         raise ContractViolationError(
             f"cost shape {C.shape} does not match marginals ({source.n}, {target.n})"
@@ -375,13 +375,9 @@ def sinkhorn(
     b = target.weights
     eps = config.resolve_epsilon(C)
     gamma, iters, converged = _sinkhorn_stabilized(C, a, b, eps, config.max_iterations, config.marginal_tolerance)
-    # numpy lays gamma * C out as gamma, so the cost sums in gamma's memory
-    # order, over flat views (C is copied only if its layout differs from
-    # gamma's); the entropy sums in C order.
     if converged:
         gamma = _round_to_feasible(gamma, a, b)
-    g, c = (gamma.T, C.T) if gamma.flags.f_contiguous and not gamma.flags.c_contiguous else (gamma, C)
-    g, c = g.reshape(-1), np.ascontiguousarray(c).reshape(-1)
+    g, c = gamma.reshape(-1), C.reshape(-1)
     value_cost = float(_tree_sum(lambda s, e: g[s:e] * c[s:e], 0, g.size))
     value_reg = value_cost - eps * entropy(gamma)
     return TransportPlan(
@@ -484,14 +480,13 @@ def _optimal_omega(rho):
 
 def _scaling_stage(C, a, b, eps, g, budget, tol):
     """Up to `budget` iterations at one eps, warm-started from the column
-    potential g. Returns (gamma, column potential, iterations, converged).
+    potential g, updated in place. Returns (gamma, g, iterations, converged).
 
     Each iteration scales the rows, then the columns, and reads both
     marginal residuals of diag(u) K diag(v) from the products it holds:
     u * (K v) - a, with the K v that the next row step divides by, and
     v * (K^T u) - b.
     """
-    g = g.copy()
     K, f = _peaked_kernel(C, g, eps)
     u, v = np.ones_like(a), np.ones_like(b)
     Kv = K.sum(axis=1)
@@ -533,15 +528,6 @@ def _scaling_stage(C, a, b, eps, g, budget, tol):
 
 def _sinkhorn_stabilized(C, a, b, eps, max_iterations, tol):
     """The solver behind `sinkhorn`: returns (gamma, iterations, converged)."""
-    rows, cols = a > 0, b > 0
-    if not (rows.all() and cols.all()):
-        # Zero-weight atoms keep zero scalings: solve on the support and
-        # leave their rows and columns of gamma empty.
-        gamma = np.zeros(C.shape)
-        block = np.ix_(rows, cols)
-        gamma[block], iters, converged = _sinkhorn_stabilized(C[block], a[rows], b[cols], eps, max_iterations, tol)
-        return gamma, iters, converged
-
     # Warm start by annealing eps geometrically from the mean cost down to
     # the target, carrying the column potential between stages. In the sharp
     # regime (eps far below the cost scale) this cuts the iteration count by

@@ -4,17 +4,13 @@ acceptance gate, so the expensive training runs happen once."""
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from otda.data_gen import GeneratorConfig, generate, swap_val_test
-from otda.da_train import TrainConfig, _openblas_function, _train_cells, alpha_sweep
-
-ACCEPTANCE_SEEDS = (0, 1, 2, 3)
-ALPHA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-DEFAULT_ALPHA = 0.1
+from gate import ACCEPTANCE_SEEDS, train_gate
+from otda.data_gen import GeneratorConfig, generate
+from otda.da_train import _openblas_function
 
 
 @pytest.fixture(scope="session")
@@ -27,47 +23,14 @@ def small_dataset():
     return generate(GeneratorConfig(samples_per_domain=150, seed=3))
 
 
-def _pooled_runs(dataset, methods):
-    """(report, params) per seed for each method at the default alpha,
-    trained in one pool of two workers like sweep_result."""
-    configs = [
-        TrainConfig(method=method, alpha=DEFAULT_ALPHA, seed=seed) for method in methods for seed in ACCEPTANCE_SEEDS
-    ]
+@pytest.fixture(scope="session")
+def gate_runs(benchmark_dataset):
+    """The gate's runs on two pool workers: the cells equal the sequential
+    ones (test_parallel_workers_match_sequential), and the gate then also
+    runs through the forked pool."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("OTDA_THREADS", "2")
-        runs = _train_cells(dataset, configs, keep_params=True)
-    n = len(ACCEPTANCE_SEEDS)
-    return {method: runs[i * n:(i + 1) * n] for i, method in enumerate(methods)}
-
-
-@pytest.fixture(scope="session")
-def method_runs(benchmark_dataset):
-    return _pooled_runs(benchmark_dataset, ("erm", "ot", "dann"))
-
-
-@pytest.fixture(scope="session")
-def sweep_result(benchmark_dataset):
-    """The acceptance sweep on two pool workers: the cells equal the
-    sequential ones (test_parallel_workers_match_sequential), and the gate
-    then also runs through the forked pool."""
-    import time
-
-    start = time.perf_counter()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("OTDA_THREADS", "2")
-        sweep = alpha_sweep(
-            benchmark_dataset,
-            TrainConfig(method="ot", alpha=DEFAULT_ALPHA, seed=0),
-            list(ALPHA_GRID),
-            seeds=list(ACCEPTANCE_SEEDS),
-        )
-    sweep.elapsed_seconds = time.perf_counter() - start
-    return sweep
-
-
-@pytest.fixture(scope="session")
-def swap_runs(benchmark_dataset):
-    return _pooled_runs(swap_val_test(benchmark_dataset), ("erm", "ot"))
+        return train_gate(benchmark_dataset, ACCEPTANCE_SEEDS)
 
 
 @pytest.fixture
@@ -85,10 +48,3 @@ def parent_blas_threads():
     finally:
         set_threads(before)
 
-
-def mean_test_accuracy(runs):
-    return float(np.mean([rep.final["test"]["accuracy"] for rep, _ in runs]))
-
-
-def mean_val_accuracy(runs):
-    return float(np.mean([rep.final["val"]["accuracy"] for rep, _ in runs]))

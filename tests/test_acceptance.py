@@ -1,9 +1,10 @@
 """Acceptance gate: every release criterion at its stated tolerance, one
 pass/fail line per criterion (run with pytest -s to see them live).
 
-The statistical criteria (4-8) share the session fixtures in conftest.py:
-one benchmark dataset, four seeds per method, the six-point alpha grid, and
-the swapped-split runs. All runs are deterministic for fixed seeds on a
+The statistical criteria (4-8) share one session fixture, conftest.py's
+gate_runs: gate.train_gate on the benchmark dataset (four seeds per method,
+the six-point alpha grid, and the swapped-split runs), read through the
+statistics in gate.py. All runs are deterministic for fixed seeds on a
 fixed platform; the patterns were calibrated once and then frozen.
 """
 
@@ -13,13 +14,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_SEEDS, ALPHA_GRID, mean_test_accuracy, mean_val_accuracy
+from gate import ALPHA_GRID, masked_accuracy, mean_accuracy, posthoc_accuracy
 from helpers import central_diff, grads_arrays, model_arrays, params_equal, rel_err, sampled_central_diff
 from otda.cli import run as cli_run
-from otda.data_gen import GeneratorConfig, generate, masked_tag
 from otda.da_train import TrainConfig, composite_loss_and_grads, train_with_model
 from otda.eval_report import accuracy, roc_auc
-from otda.nn_core import forward_classifier, forward_features, init_model
+from otda.nn_core import init_model
 from otda.ot_core import (
     DiscreteDistribution,
     SinkhornConfig,
@@ -29,7 +29,6 @@ from otda.ot_core import (
     ot_value_and_point_grads,
     sinkhorn,
 )
-from otda.posthoc_align import evaluate_posthoc
 
 # Converged plans are rounded to exact marginals, so their cost dominates the
 # linear-program optimum up to float addition error.
@@ -121,7 +120,8 @@ def test_criterion_3_erm_degeneracy(benchmark_dataset):
                 assert params_equal(erm.classifier, other.classifier)
 
 
-def test_criterion_4_alpha_sweep_pattern(sweep_result):
+def test_criterion_4_alpha_sweep_pattern(gate_runs):
+    sweep_result = gate_runs.sweep
     with criterion(4, "validation-selected alpha beats smallest alpha; largest alpha least stable"):
         best = int(np.argmax(sweep_result.val_means))
         assert sweep_result.test_means[best] > sweep_result.test_means[0], (
@@ -131,55 +131,42 @@ def test_criterion_4_alpha_sweep_pattern(sweep_result):
         assert int(np.argmax(sweep_result.test_stds)) == len(ALPHA_GRID) - 1, (
             f"test stds {np.round(sweep_result.test_stds, 3).tolist()}"
         )
-        assert sweep_result.elapsed_seconds <= 600.0
+        assert gate_runs.elapsed_seconds <= 600.0
 
 
-def test_criterion_5_method_ordering(method_runs):
+def test_criterion_5_method_ordering(gate_runs):
     with criterion(5, "unseen-domain accuracy ordering ot > dann > erm with ot-erm >= 3 points"):
-        means = {m: mean_test_accuracy(method_runs[m]) for m in ("erm", "ot", "dann")}
+        means = {m: mean_accuracy(gate_runs.runs[m], "test") for m in ("erm", "ot", "dann")}
         assert means["ot"] > means["dann"] > means["erm"], means
         assert means["ot"] - means["erm"] >= 0.03, means
 
 
-def test_benchmark_generalization_gap(method_runs):
+def test_benchmark_generalization_gap(gate_runs):
     # calibration contract of the generator: erm degrades off-domain
-    val = mean_val_accuracy(method_runs["erm"])
-    test = mean_test_accuracy(method_runs["erm"])
+    val = mean_accuracy(gate_runs.runs["erm"], "val")
+    test = mean_accuracy(gate_runs.runs["erm"], "test")
     assert val - test >= 0.05, f"erm val {val:.3f} vs test {test:.3f}"
 
 
-def _masked_accuracy(dataset, params):
-    idx = dataset.split_indices("test")
-    mask = dataset.subclusters[idx] == masked_tag()
-    x = dataset.features[idx][mask]
-    y = dataset.labels[idx][mask]
-    features, _ = forward_features(params, x)
-    return accuracy(forward_classifier(params, features), y)
-
-
-def test_criterion_6_masked_subcluster_pattern(benchmark_dataset, method_runs):
+def test_criterion_6_masked_subcluster_pattern(gate_runs):
     with criterion(6, "ot beats dann by >= 5 points on the withheld subcluster"):
-        ot = np.mean([_masked_accuracy(benchmark_dataset, p) for _, p in method_runs["ot"]])
-        dann = np.mean([_masked_accuracy(benchmark_dataset, p) for _, p in method_runs["dann"]])
+        ot = masked_accuracy(gate_runs.dataset, gate_runs.runs["ot"])
+        dann = masked_accuracy(gate_runs.dataset, gate_runs.runs["dann"])
         assert ot - dann >= 0.05, f"ot {ot:.3f} vs dann {dann:.3f}"
 
 
-def test_criterion_7_posthoc_pattern(benchmark_dataset, method_runs):
+def test_criterion_7_posthoc_pattern(gate_runs):
     with criterion(7, "erm <= post-hoc alignment (eps=2) < in-training ot on the test domain"):
-        posts = [
-            evaluate_posthoc(benchmark_dataset, params)["test"].post_accuracy
-            for _, params in method_runs["erm"]
-        ]
-        post = float(np.mean(posts))
-        erm = mean_test_accuracy(method_runs["erm"])
-        ot = mean_test_accuracy(method_runs["ot"])
+        post = posthoc_accuracy(gate_runs.dataset, gate_runs.runs["erm"])
+        erm = mean_accuracy(gate_runs.runs["erm"], "test")
+        ot = mean_accuracy(gate_runs.runs["ot"], "test")
         assert erm <= post < ot, f"erm {erm:.3f}, post {post:.3f}, ot {ot:.3f}"
 
 
-def test_criterion_8_swap_pattern(swap_runs):
+def test_criterion_8_swap_pattern(gate_runs):
     with criterion(8, "after swapping val and test institutions, ot still beats erm"):
-        ot = mean_test_accuracy(swap_runs["ot"])
-        erm = mean_test_accuracy(swap_runs["erm"])
+        ot = mean_accuracy(gate_runs.swap_runs["ot"], "test")
+        erm = mean_accuracy(gate_runs.swap_runs["erm"], "test")
         assert ot > erm, f"ot {ot:.3f} vs erm {erm:.3f}"
 
 

@@ -104,6 +104,8 @@ def _uniform(n):
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: DiscreteDistribution(np.zeros((2, 1)), np.full(3, 1 / 3)), ContractViolationError,
                  "weights shape (3,) does not match 2 points", id="weights-shape"),
+    pytest.param(lambda: DiscreteDistribution(np.zeros((2, 1)), np.array([1.0, 0.0])), ContractViolationError,
+                 "weights must be finite and positive", id="weights-zero"),
     pytest.param(lambda: CostMatrix(np.zeros(3)), ContractViolationError,
                  "cost entries must be 2-D, got shape (3,)", id="cost-not-2d"),
     pytest.param(lambda: cost_matrix(_uniform(2), _uniform(2), "manhattan"), ContractViolationError,
@@ -455,19 +457,16 @@ class TestSinkhorn:
         assert len(builds) > 1
         assert_matches_reference(plan, cost, log_domain_reference(cost.entries, src.weights, tgt.weights, epsilon))
 
-    def test_zero_weight_atoms_get_empty_rows_and_columns(self):
-        rng = np.random.default_rng(17)
-        a = np.array([0.3, 0.0, 0.5, 0.2, 0.0])
-        b = np.array([0.0, 0.25, 0.25, 0.5])
-        src = DiscreteDistribution(rng.standard_normal((5, 3)), a)
-        tgt = DiscreteDistribution(rng.standard_normal((4, 3)), b)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_plan_does_not_depend_on_cost_layout(self, seed):
+        rng = np.random.default_rng(seed)
+        src, tgt = uniform_pair(rng, 37, d=5, m=53)
         cost = cost_matrix(src, tgt)
-        plan = sinkhorn(cost, src, tgt, tight_config(0.05))
-        assert plan.converged
-        assert np.all(np.isfinite(plan.gamma))
-        assert not plan.gamma[a == 0].any() and not plan.gamma[:, b == 0].any()
-        row, col = marginal_residual(plan, src, tgt)
-        assert row <= 1e-16 and col <= 1e-16
+        config = SinkhornConfig(epsilon=0.1)
+        plan = sinkhorn(cost, src, tgt, config)
+        fortran = sinkhorn(CostMatrix(np.asfortranarray(cost.entries)), src, tgt, config)
+        assert_same_plan_bytes(fortran, plan.gamma, plan.value_cost, plan.value_regularized)
+        assert fortran.iterations_used == plan.iterations_used
 
     def test_rectangular_nonuniform_posthoc_sized(self):
         # the shape of a post-hoc alignment solve (600 target rows against
@@ -541,25 +540,19 @@ def reference_entropy(gamma):
 @st.composite
 def solver_outputs(draw):
     """(gamma, C, a, b, converged) as the kernel could hand them to sinkhorn's
-    finish: a near-feasible plan with zero entries, and zero rows and columns
-    at zero-weight atoms. A transposed cost makes an F-ordered plan; a
-    transposed cost with zero weights leaves the plan in C order. A
+    finish: a near-feasible C-ordered plan with zero entries, and a cost that
+    is C-ordered or, as a library caller may pass it, F-ordered. A
     300-column plan has rows longer than the small finish blocks, so its
     rounding adds its correction a row at a time."""
     n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30) | st.just(300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    zero_share = draw(st.sampled_from([0.0, 0.2]))
-    a, b = (rng.random(k) * (rng.random(k) >= zero_share) for k in (n, m))
-    a[0] = b[0] = 1.0
+    a, b = rng.random(n) + 0.01, rng.random(m) + 0.01
     a, b = a / a.sum(), b / b.sum()
     gamma = np.outer(a, b) * (1.0 + draw(st.sampled_from([0.0, 1e-7, 1e-2])) * rng.standard_normal((n, m)))
     gamma[rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
     C = rng.random((n, m)) * 10.0 ** rng.uniform(-3, 3)
-    layout = draw(st.sampled_from(["C", "transposed", "transposed cost"]))
-    if layout != "C":
+    if draw(st.sampled_from(["C", "transposed cost"])) != "C":
         C = np.asfortranarray(C)
-    if layout == "transposed":
-        gamma = np.asfortranarray(gamma)
     return np.maximum(gamma, 0.0), C, a, b, draw(st.booleans())
 
 
@@ -589,9 +582,10 @@ class TestSinkhornFinish:
         config = SinkhornConfig()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ot_core, "_FINISH_BLOCK", block)
-            mp.setattr(ot_core, "_sinkhorn_stabilized", lambda *args: (gamma.copy(order="K"), 7, converged))
+            mp.setattr(ot_core, "_sinkhorn_stabilized", lambda *args: (gamma.copy(), 7, converged))
             plan = sinkhorn(CostMatrix(C), src, tgt, config)
-        expected = reference_round_to_feasible(gamma.copy(order="K"), a, b) if converged else gamma
+        expected = reference_round_to_feasible(gamma.copy(), a, b) if converged else gamma
+        C = np.ascontiguousarray(C)  # an F-ordered cost gives the C-ordered cost's bytes
         value_cost = float(np.sum(expected * C))
         value_regularized = value_cost - config.resolve_epsilon(C) * reference_entropy(expected)
         assert_same_plan_bytes(plan, expected, value_cost, value_regularized)

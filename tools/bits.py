@@ -11,8 +11,9 @@ processes, so no two trees share an import. The output is:
   seeds 0-3); the reports and weights of erm, ot and dann at alpha 0.1,
   seeds 0-3, on that dataset and on it with val and test swapped; and for
   each erm model on the benchmark dataset, evaluate_posthoc's accuracies,
-  plans and aligned features. Training runs in two pool workers, as the
-  gate trains (OTDA_THREADS=2);
+  plans and aligned features. The runs are the gate's own (tests/gate.py's
+  train_gate, from this checkout) plus dann on the swapped split, trained
+  in two pool workers, as the gate trains (OTDA_THREADS=2);
 
   the sha256 of every file that tools/cli_set.py writes, with its path.
 
@@ -28,14 +29,13 @@ import tempfile
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
-SEEDS = [0, 1, 2, 3]
-ALPHAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-DEFAULT_ALPHA = 0.1
 
 
 def gate_digest() -> str:
     """The sha256 over the gate's runs, computed with the otda on sys.path."""
-    from otda.da_train import METHODS, TrainConfig, _train_cells, alpha_sweep
+    sys.path.insert(0, str(TOOLS.parent / "tests"))
+    from gate import ACCEPTANCE_SEEDS, DEFAULT_ALPHA, train_gate
+    from otda.da_train import METHODS, TrainConfig, run_seeds
     from otda.data_gen import GeneratorConfig, generate, swap_val_test
     from otda.posthoc_align import evaluate_posthoc
 
@@ -45,23 +45,26 @@ def gate_digest() -> str:
         digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
 
     dataset = generate(GeneratorConfig())
-    sweep = alpha_sweep(dataset, TrainConfig(method="ot", alpha=DEFAULT_ALPHA, seed=0), ALPHAS, SEEDS)
-    for row in sweep.reports:
+    gate = train_gate(dataset, ACCEPTANCE_SEEDS)
+    for row in gate.sweep.reports:
         for report in row:
             add_report(report)
-    for data in (dataset, swap_val_test(dataset)):
-        configs = [TrainConfig(method=method, alpha=DEFAULT_ALPHA, seed=seed) for method in METHODS for seed in SEEDS]
-        for config, (report, params) in zip(configs, _train_cells(data, configs, keep_params=True)):
-            add_report(report)
-            digest.update(params.flat.tobytes())
-            if config.method != "erm" or data is not dataset:
-                continue
-            for split, result in evaluate_posthoc(data, params).items():
-                plan = result.plan
-                digest.update(repr((split, result.pre_accuracy, result.post_accuracy, plan.value_cost,
-                                    plan.value_regularized, plan.iterations_used, plan.converged)).encode())
-                digest.update(plan.gamma.tobytes())
-                digest.update(result.aligned_features.tobytes())
+    swapped_dann = run_seeds(
+        swap_val_test(dataset), TrainConfig(method="dann", alpha=DEFAULT_ALPHA), ACCEPTANCE_SEEDS, keep_params=True
+    )
+    for runs in (gate.runs, {**gate.swap_runs, "dann": swapped_dann}):
+        for method in METHODS:
+            for report, params in runs[method]:
+                add_report(report)
+                digest.update(params.flat.tobytes())
+                if method != "erm" or runs is not gate.runs:
+                    continue
+                for split, result in evaluate_posthoc(dataset, params).items():
+                    plan = result.plan
+                    digest.update(repr((split, result.pre_accuracy, result.post_accuracy, plan.value_cost,
+                                        plan.value_regularized, plan.iterations_used, plan.converged)).encode())
+                    digest.update(plan.gamma.tobytes())
+                    digest.update(result.aligned_features.tobytes())
     return digest.hexdigest()
 
 
