@@ -16,11 +16,7 @@ first-order gradients without unrolling solver iterations.
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import itertools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,51 +145,54 @@ class SinkhornConfig:
         return float(self.epsilon) * max(float(np.mean(cost_entries)), _DISTANCE_FLOOR)
 
 
-@functools.cache
-def _distance_kernel():
-    """scipy's compiled cdist kernel, `scipy.spatial._distance_pybind`.
-    scipy's `cdist` hands the euclidean and sqeuclidean metrics to it, so
-    calling it gives cdist's bytes. Loading its extension file alone skips
-    the `scipy.spatial` package, whose import also loads scipy.sparse,
-    scipy.linalg and scipy.special (measured in README, "CLI walkthrough").
-    It loads at the first cost matrix, not at import: erm, dann, gen-data
-    and report never build one. It stays out of sys.modules, so a later
-    `import scipy.spatial.distance` loads as usual."""
-    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
-    if scipy_spec is None:
-        raise ImportError("cost matrices need scipy, which is not installed")
-    path = os.path.join(
-        scipy_spec.submodule_search_locations[0], "spatial",
-        "_distance_pybind" + importlib.machinery.EXTENSION_SUFFIXES[0],
-    )
-    if not os.path.isfile(path):
-        from importlib.metadata import version
-
-        raise ImportError(f"scipy {version('scipy')} has no cdist kernel at {path}")
-    spec = importlib.util.spec_from_file_location("scipy.spatial._distance_pybind", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# The cost's recompute and a solve's finish (the rounding's rank-one
+# correction, <gamma, C> and the entropy) use numpy temporaries of at most
+# this many entries (512 KB) each, or one row where a row is longer, not a
+# matrix-sized array. A training plan (at most 128 x 128) is one block.
+_FINISH_BLOCK = 1 << 16
+_RECOMPUTE_SHARE = 1e-4
 
 
 def cost_matrix(source: DiscreteDistribution, target: DiscreteDistribution, metric: str = EUCLIDEAN) -> CostMatrix:
-    """Pairwise euclidean or squared-euclidean costs between the supports."""
+    """Pairwise euclidean or squared-euclidean costs between the supports,
+    in C order, from |x|^2 + |y|^2 - 2 x.y. With u = 2^-53 and
+    g = d u / (1 - d u) for d coordinates, the norms and the product each miss
+    by at most g (|x|^2 + |y|^2) and the two adds by 4 u (1 + g)(1 + u) of it,
+    so for d < 2^26 an entry is within (2d + 6) u (|x|^2 + |y|^2) of exact.
+    Entries at or below _RECOMPUTE_SHARE of max|x|^2 + max|y|^2, where that
+    error swamps the distance, are summed from coordinate differences, within
+    the same bound, so a coincident pair costs exactly 0.0. A row norm of
+    2^511 (about 6.7e153) or more can overflow to an infinite or NaN entry,
+    which CostMatrix refuses (ContractViolationError) unless a numeric
+    section raises first."""
     if metric not in _METRICS:
         raise ContractViolationError(f"unknown metric {metric!r}")
     if source.dim != target.dim:
         raise ContractViolationError(
             f"dimension mismatch: source has d={source.dim}, target has d={target.dim}"
         )
-    kernel = _distance_kernel()
-    cdist = kernel.cdist_euclidean if metric == EUCLIDEAN else kernel.cdist_sqeuclidean
-    return CostMatrix(cdist(source.points, target.points))
+    X, Y = source.points, target.points
+    x2, y2 = np.add.reduce(X * X, axis=1), np.add.reduce(Y * Y, axis=1)
+    D = (-2.0 * X) @ Y.T
+    D += x2[:, None]
+    D += y2
+    threshold = _RECOMPUTE_SHARE * (x2.max() + y2.max())
+    step, pairs = max(_FINISH_BLOCK // target.n, 1), max(_FINISH_BLOCK // target.dim, 1)
+    for start in range(0, source.n, step):
+        block = D[start:start + step]
+        if block.min() <= threshold:
+            flat = np.flatnonzero(block <= threshold)
+            for k in range(0, flat.size, pairs):
+                rows, cols = np.divmod(flat[k:k + pairs], target.n)
+                diff = X[rows + start]
+                diff -= Y[cols]
+                diff *= diff
+                block[rows, cols] = np.add.reduce(diff, axis=1)
+    if metric == EUCLIDEAN:
+        np.sqrt(D, out=D)
+    return CostMatrix(D)
 
 
-# The finish of a solve (the rounding's rank-one correction, <gamma, C> and
-# the entropy) works in numpy temporaries of at most this many entries
-# (512 KB), or of one row where a row is longer, not in a second plan-sized
-# array. A training plan (at most 128 x 128) is one block.
-_FINISH_BLOCK = 1 << 16
 # np.sum of a contiguous float64 array is a pairwise tree over its memory
 # order: a span of more than this many terms splits at half its length,
 # rounded down to a multiple of 8; a shorter one is a leaf that numpy adds

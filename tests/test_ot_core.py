@@ -14,8 +14,10 @@ from scipy.special import logsumexp
 
 from helpers import central_diff, raises_exactly, rel_err
 from otda import ot_core
+from otda.da_train import _numeric_section
 from otda.errors import (
     ContractViolationError,
+    NumericError,
     SinkhornConvergenceError,
     UnsupportedInstanceError,
 )
@@ -182,20 +184,30 @@ class TestCostMatrix:
         duplicates=st.integers(0, 40),
         metric=st.sampled_from([EUCLIDEAN, SQUARED_EUCLIDEAN]),
     )
-    def test_matches_cdist_bytes(self, n, m, d, seed, scale, duplicates, metric):
-        # Pins the bits a cdist replacement would have to keep; target rows
-        # copied from the source give zero costs, which carry no sign bit.
+    def test_zero_at_copies_and_cdist_within_rounding_bound(self, n, m, d, seed, scale, duplicates, metric):
+        # target rows copied from the source cost exactly 0.0, with no sign
+        # bit; every entry is within cost_matrix's bound of scipy's cdist,
+        # which itself misses by at most (d + 3) u of its squared distance
         from scipy.spatial.distance import cdist
 
         rng = np.random.default_rng(seed)
         X = scale * rng.standard_normal((n, d))
         Y = scale * rng.standard_normal((m, d))
         copied = min(duplicates, n, m)
-        Y[:copied] = X[rng.choice(n, copied, replace=False)]
+        sources = rng.choice(n, copied, replace=False)
+        Y[:copied] = X[sources]
         entries = cost_matrix(DiscreteDistribution.uniform(X), DiscreteDistribution.uniform(Y), metric).entries
-        expected = cdist(X, Y, metric="euclidean" if metric == EUCLIDEAN else "sqeuclidean")
-        assert entries.tobytes() == expected.tobytes()
         assert not np.signbit(entries).any()
+        assert (entries[sources, np.arange(copied)] == 0.0).all()
+        u = 2.0**-53
+        squared = cdist(X, Y, metric="sqeuclidean")
+        bound = (2 * d + 6) * u * ((X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)) + (d + 3) * u * squared
+        if metric == EUCLIDEAN:
+            # the square root and squaring it back add at most
+            # (1 + u)^3 - 1 < 4 u of the squared entry
+            entries = entries * entries
+            bound += 4 * u * (squared + bound)
+        assert (np.abs(entries - squared) <= bound).all()
 
     def test_dimension_mismatch(self):
         src = DiscreteDistribution.uniform(np.zeros((2, 3)))
@@ -213,44 +225,43 @@ class TestCostMatrix:
     def test_empty_entries_accepted(self):
         assert CostMatrix(np.zeros((0, 3))).entries.shape == (0, 3)
 
-    def test_missing_kernel_file_names_path_and_version(self, monkeypatch):
-        import importlib.machinery
-
-        import scipy
-
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
-        ot_core._distance_kernel.cache_clear()
-        src = DiscreteDistribution.uniform(np.zeros((2, 3)))
-        with pytest.raises(ImportError) as info:
-            cost_matrix(src, src)
-        assert "_distance_pybind.missing.so" in str(info.value)
-        assert scipy.__version__ in str(info.value)
-
-    def test_missing_scipy_is_import_error(self, monkeypatch):
-        import importlib.util
-
-        find_spec = importlib.util.find_spec
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None if name == "scipy" else find_spec(name))
-        ot_core._distance_kernel.cache_clear()
-        with raises_exactly(ImportError, "cost matrices need scipy, which is not installed"):
-            cost_matrix(_uniform(2), _uniform(2))
-
     def test_checks_hold_no_matrix_sized_temporary(self):
         # A boolean mask over a post-hoc sized cost matrix (600 x 1 800)
-        # takes 1.08 MB; building and checking the matrix stays below half.
+        # takes 1.08 MB; building and checking the matrix stays below half,
+        # also where shared rows send entries to the exact recompute. Clouds
+        # on one point send every entry there, and its temporaries stay below
+        # four 512 KB blocks; gathering a block's pairs at once held 50 MB.
         rng = np.random.default_rng(11)
-        src = DiscreteDistribution.uniform(rng.standard_normal((600, 32)))
-        tgt = DiscreteDistribution.uniform(rng.standard_normal((1800, 32)))
-        cost_matrix(src, tgt)  # the cdist kernel loads outside the traced window
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            cost = cost_matrix(src, tgt)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak - cost.entries.nbytes < 2**19, f"peak {peak} bytes over a {cost.entries.nbytes}-byte matrix"
+        apart = rng.standard_normal((600, 32)), rng.standard_normal((1800, 32))
+        shared = apart[0], np.vstack([apart[0][:400], apart[1][400:]])
+        one_point = np.ones((600, 32)), np.ones((1800, 32))
+        for (X, Y), zeros, bound in ((apart, 0, 2**19), (shared, 400, 2**19), (one_point, 600, 2**21)):
+            src, tgt = DiscreteDistribution.uniform(X), DiscreteDistribution.uniform(Y)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cost = cost_matrix(src, tgt)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert (np.diag(cost.entries[:, :zeros]) == 0.0).all()
+            assert peak - cost.entries.nbytes < bound, f"{zeros} zeros: peak {peak} bytes"
+
+    @pytest.mark.parametrize("X, Y", [
+        ([[1e155, 0.0]], [[1e155, 1.0]]),
+        ([[1e155, 0.0], [0.0, 0.0]], [[1e155, 1.0], [1.0, 1.0]]),
+    ])
+    @pytest.mark.parametrize("metric", [EUCLIDEAN, SQUARED_EUCLIDEAN])
+    def test_overflowing_squares_are_refused(self, X, Y, metric):
+        # cdist gives these rows a squared distance of 1.0, but their squares
+        # overflow the expansion: no cost comes out
+        src, tgt = DiscreteDistribution.uniform(np.array(X)), DiscreteDistribution.uniform(np.array(Y))
+        with np.errstate(over="ignore", invalid="ignore"), raises_exactly(
+                ContractViolationError, "cost entries must be finite and nonnegative"):
+            cost_matrix(src, tgt, metric)
+        with raises_exactly(NumericError, "overflow encountered in multiply"), _numeric_section():
+            cost_matrix(src, tgt, metric)
 
 
 class TestEntropy:
