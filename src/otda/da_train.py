@@ -151,14 +151,15 @@ class RunReport:
         return asdict(self)
 
 
+def split_accuracy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
+    """evaluate_split's accuracy alone: one untraced pass, no softmax or ROC."""
+    return accuracy(forward_classifier(params, forward_features(params, X, keep_trace=False)[0]), y)
+
+
 def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
-    features, _ = forward_features(params, X, keep_trace=False)
-    logits = forward_classifier(params, features)
-    acc = accuracy(logits, y)
-    auc = None
-    if logits.shape[1] == 2 and len(set(y.tolist())) == 2:
-        auc = roc_auc(softmax_scores(logits), y).auc
-    return {"accuracy": acc, "auc": auc}
+    logits = forward_classifier(params, forward_features(params, X, keep_trace=False)[0])
+    two_class = logits.shape[1] == 2 and len(set(y.tolist())) == 2
+    return {"accuracy": accuracy(logits, y), "auc": roc_auc(softmax_scores(logits), y).auc if two_class else None}
 
 
 def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple:
@@ -307,12 +308,13 @@ def _numeric_section():
 @_numeric_section()
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     """Run the configured method and return (report, params at the selected
-    epoch). The selected epoch is the first with the best validation accuracy.
-    A numeric fault is given its epoch and, in a step, the step and batch shape.
+    epoch). The selected epoch is the first with the best validation accuracy;
+    each epoch scores only its val and test accuracy, and the report's final
+    metrics score the returned params once per split. A numeric fault is
+    given its epoch and, in a step, the step and batch shape.
     """
-    x_train, y_train = dataset.split_arrays("train")
-    x_val, y_val = dataset.split_arrays("val")
-    x_test, y_test = dataset.split_arrays("test")
+    arrays = {split: dataset.split_arrays(split) for split in ("train", "val", "test")}
+    (x_train, y_train), (x_val, _) = arrays["train"], arrays["val"]
 
     params = init_model(
         input_dim=dataset.dim,
@@ -324,8 +326,8 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     n_train, n_val = len(x_train), len(x_val)
 
     records = []
-    # (epoch, params, {"val": ..., "test": ...}) of the first epoch with the
-    # best val accuracy; sgd_step never mutates its input, so params stay put
+    # (epoch, params) of the first epoch with the best val accuracy; sgd_step
+    # never mutates its input, so params stay put
     best = None
     for epoch in range(config.epochs):
         perm = rng.permutation(n_train)
@@ -351,24 +353,21 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 ce_sum += ce_loss
                 aux_sum += aux_loss
                 steps += 1
-            at = (None, None)  # the epoch-end evaluation has no step
-            val_metrics = evaluate_split(params, x_val, y_val)
-            test_metrics = evaluate_split(params, x_test, y_test)
+            at = (None, None)  # the epoch-end scoring has no step
+            val_accuracy, test_accuracy = (split_accuracy(params, *arrays[split]) for split in ("val", "test"))
         except (NumericError, FloatingPointError) as exc:
             exc.epoch, (exc.step, exc.batch_shape) = epoch, at
             raise
-        records.append(EpochRecord(epoch, ce_sum / steps, aux_sum / steps,
-                                   val_metrics["accuracy"], test_metrics["accuracy"]))
-        if best is None or val_metrics["accuracy"] > best[2]["val"]["accuracy"]:
-            best = (epoch, params, {"val": val_metrics, "test": test_metrics})
+        records.append(EpochRecord(epoch, ce_sum / steps, aux_sum / steps, val_accuracy, test_accuracy))
+        if best is None or val_accuracy > records[best[0]].val_accuracy:
+            best = (epoch, params)
 
-    selected, best_params, final = best
-    final["train"] = evaluate_split(best_params, x_train, y_train)
+    selected, best_params = best
     report = RunReport(
         config=config.snapshot(),
         epochs=records,
         selected_epoch=selected,
-        final=final,
+        final={split: evaluate_split(best_params, *arrays[split]) for split in ("val", "test", "train")},
         seed=config.seed,
     )
     return report, best_params

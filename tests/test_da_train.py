@@ -46,6 +46,7 @@ from otda.da_train import (
     train_with_model,
 )
 from otda.errors import ConfigurationError, ContractViolationError, NumericError, ParseError, SinkhornConvergenceError
+from otda.eval_report import roc_auc
 from otda.nn_core import (
     OptimizerConfig,
     _head_backward,
@@ -304,19 +305,40 @@ class TestTrain:
         assert report.epochs[report.selected_epoch].val_accuracy == best
 
     def test_val_accuracy_tie_keeps_the_first_epoch(self, tiny_ds, monkeypatch):
-        # val then test accuracy of each epoch, then the selected params' train accuracy
-        accuracies = iter([0.5, 0.2, 0.7, 0.4, 0.7, 0.6, 0.6, 0.8, 0.7, 1.0, 0.9])
-        evaluated = []
+        # val then test accuracy of each epoch
+        accuracies = iter([0.5, 0.2, 0.7, 0.4, 0.7, 0.6, 0.6, 0.8, 0.7, 1.0])
+        scored, evaluated = [], []
 
         def scripted(params, X, y):
-            evaluated.append(params)
-            return {"accuracy": next(accuracies), "auc": None}
+            scored.append(params)
+            return next(accuracies)
 
-        monkeypatch.setattr(otda.da_train, "evaluate_split", scripted)
+        def evaluate(params, X, y):
+            evaluated.append(params)
+            return evaluate_split(params, X, y)
+
+        monkeypatch.setattr(otda.da_train, "split_accuracy", scripted)
+        monkeypatch.setattr(otda.da_train, "evaluate_split", evaluate)
         report, params = train_with_model(tiny_ds, small_config(epochs=5))
         assert [r.val_accuracy for r in report.epochs] == [0.5, 0.7, 0.7, 0.6, 0.7]
-        assert report.selected_epoch == 1 and params is evaluated[2] and evaluated[-1] is params
-        assert [report.final[split]["accuracy"] for split in ("val", "test", "train")] == [0.7, 0.4, 0.9]
+        assert report.selected_epoch == 1 and params is scored[2]
+        assert len(evaluated) == 3 and all(p is params for p in evaluated)
+        for split in ("val", "test", "train"):
+            assert report.final[split] == evaluate_split(params, *tiny_ds.split_arrays(split))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_final_metrics_score_the_returned_params_once(self, tiny_ds, method, monkeypatch):
+        curves = []
+
+        def counted(scores, labels):
+            curves.append(len(labels))
+            return roc_auc(scores, labels)
+
+        monkeypatch.setattr(otda.da_train, "roc_auc", counted)
+        report, params = train_with_model(tiny_ds, small_config(method=method, epochs=5))
+        assert len(curves) == 3  # val, test and train of the returned params, never an epoch's
+        for split in ("val", "test", "train"):
+            assert report.final[split] == evaluate_split(params, *tiny_ds.split_arrays(split))
 
     def test_full_run_erm_degeneracy(self, tiny_ds):
         erm = train_with_model(tiny_ds, small_config(method="erm", alpha=0.0, epochs=3))[1]
@@ -329,7 +351,7 @@ class TestTrain:
 
 
 class TestEvaluateSplit:
-    def test_untraced_pass_holds_three_block_arrays(self):
+    def test_untraced_pass_holds_two_block_arrays(self):
         rng = np.random.default_rng(0)
         params = init_model(8, seed=0)
         x, y = rng.standard_normal((1800, 8)), rng.integers(0, 2, 1800)
@@ -341,7 +363,7 @@ class TestEvaluateSplit:
         finally:
             tracemalloc.stop()
         block = 1800 * 64 * 8  # the widest block array: 1800 rows of 64 doubles
-        assert peak <= 3 * block + 256 * 1024
+        assert peak <= 2 * block + 256 * 1024
 
 
 class TestSolverFailures:
@@ -501,7 +523,7 @@ class TestNumericSection:
         def overflowing(*args):
             return np.float64(1e308) * 10.0
 
-        monkeypatch.setattr(otda.da_train, "evaluate_split", overflowing)
+        monkeypatch.setattr(otda.da_train, "split_accuracy", overflowing)
         with pytest.raises(NumericError, match="^overflow encountered in scalar multiply$") as caught:
             train_with_model(tiny_ds, small_config(epochs=1))
         assert (caught.value.epoch, caught.value.step, caught.value.batch_shape) == (0, None, None)
