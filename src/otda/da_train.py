@@ -153,13 +153,18 @@ class RunReport:
 
 def _split_accuracy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """evaluate_split's accuracy alone: one untraced pass, no softmax or ROC."""
-    return accuracy(forward_classifier(params, forward_features(params, X, keep_trace=False)[0]), y)
+    features, _ = forward_features(params, X, keep_trace=False)
+    return accuracy(forward_classifier(params, features), y)
 
 
 def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
-    logits = forward_classifier(params, forward_features(params, X, keep_trace=False)[0])
-    two_class = logits.shape[1] == 2 and len(set(y.tolist())) == 2
-    return {"accuracy": accuracy(logits, y), "auc": roc_auc(softmax_scores(logits), y).auc if two_class else None}
+    features, _ = forward_features(params, X, keep_trace=False)
+    logits = forward_classifier(params, features)
+    acc = accuracy(logits, y)
+    auc = None
+    if logits.shape[1] == 2 and len(set(y.tolist())) == 2:
+        auc = roc_auc(softmax_scores(logits), y).auc
+    return {"accuracy": acc, "auc": auc}
 
 
 def binary_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple:
@@ -308,13 +313,12 @@ def _numeric_section():
 @_numeric_section()
 def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     """Run the configured method and return (report, params at the selected
-    epoch). The selected epoch is the first with the best validation accuracy;
-    each epoch scores only its val and test accuracy, and the report's final
-    metrics score the returned params once per split. A numeric fault is
-    given its epoch and, in a step, the step and batch shape.
-    """
-    arrays = {split: dataset.split_arrays(split) for split in ("train", "val", "test")}
-    (x_train, y_train), (x_val, _) = arrays["train"], arrays["val"]
+    epoch), the first with the best validation accuracy; the report's final
+    metrics score those params once per split. A numeric fault is given its
+    epoch and, in a step, the step and batch shape."""
+    x_train, y_train = dataset.split_arrays("train")
+    x_val, y_val = dataset.split_arrays("val")
+    x_test, y_test = dataset.split_arrays("test")
 
     params = init_model(
         input_dim=dataset.dim,
@@ -354,7 +358,8 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
                 aux_sum += aux_loss
                 steps += 1
             at = (None, None)  # the epoch-end scoring has no step
-            val_accuracy, test_accuracy = (_split_accuracy(params, *arrays[split]) for split in ("val", "test"))
+            val_accuracy = _split_accuracy(params, x_val, y_val)
+            test_accuracy = _split_accuracy(params, x_test, y_test)
         except (NumericError, FloatingPointError) as exc:
             exc.epoch, (exc.step, exc.batch_shape) = epoch, at
             raise
@@ -363,11 +368,16 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
             best = (epoch, params)
 
     selected, best_params = best
+    final = {
+        "val": evaluate_split(best_params, x_val, y_val),
+        "test": evaluate_split(best_params, x_test, y_test),
+        "train": evaluate_split(best_params, x_train, y_train),
+    }
     report = RunReport(
         config=config.snapshot(),
         epochs=records,
         selected_epoch=selected,
-        final={split: evaluate_split(best_params, *arrays[split]) for split in ("val", "test", "train")},
+        final=final,
         seed=config.seed,
     )
     return report, best_params
