@@ -219,7 +219,7 @@ def _emit_run_outputs(args: argparse.Namespace, config: TrainConfig, report: Run
         # logits, y and idx still hold the test split, the loop's last
         cells = subcluster_breakdown(
             np.argmax(logits, axis=1), y, dataset.subclusters[idx], dataset.domain_ids[idx],
-            masked_tag=data_gen.masked_tag(),
+            masked_tag=data_gen.MASKED_TAG,
         )
         write_breakdown_table(cells, out / "tables" / f"subcluster_{run_id}.csv")
 

@@ -162,7 +162,7 @@ def evaluate_split(params: ModelParams, X: np.ndarray, y: np.ndarray) -> dict:
     logits = forward_classifier(params, features)
     acc = accuracy(logits, y)
     auc = None
-    if logits.shape[1] == 2 and len(set(y.tolist())) == 2:
+    if len(set(y.tolist())) == 2:
         auc = roc_auc(softmax_scores(logits), y).auc
     return {"accuracy": acc, "auc": auc}
 
@@ -320,11 +320,7 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
     x_val, y_val = dataset.split_arrays("val")
     x_test, y_test = dataset.split_arrays("test")
 
-    params = init_model(
-        input_dim=dataset.dim,
-        domain_head_widths=(16,) if config.method == "dann" else None,
-        seed=config.seed,
-    )
+    params = init_model(dataset.dim, domain_head=config.method == "dann", seed=config.seed)
     velocity = ModelParams(params.layout, np.zeros(params.layout.size))  # the SGD momentum
     rng = np.random.default_rng([int(config.seed), 2])
     n_train, n_val = len(x_train), len(x_val)

@@ -33,6 +33,7 @@ SUBCLUSTERS_PER_CLASS = 3
 # Subcluster withheld from all non-test domains: class 1, component 2.
 MASKED_CLASS = 1
 MASKED_SUBCLUSTER = 2
+MASKED_TAG = f"c{MASKED_CLASS}s{MASKED_SUBCLUSTER}"
 
 # The institutions in domain-id order: (split, base scale, base offset);
 # per-coordinate jitter is added on top. Validation and test sit on the same
@@ -233,7 +234,7 @@ def generate(config: GeneratorConfig) -> DomainDataset:
             "offsets": offsets.tolist(),
             "inclusion": inclusion.tolist(),
         },
-        "masked_subcluster": {"class": MASKED_CLASS, "index": MASKED_SUBCLUSTER, "tag": masked_tag()},
+        "masked_subcluster": {"class": MASKED_CLASS, "index": MASKED_SUBCLUSTER, "tag": MASKED_TAG},
     }
     return DomainDataset(
         features=np.vstack(feats),
@@ -243,10 +244,6 @@ def generate(config: GeneratorConfig) -> DomainDataset:
         subclusters=np.array(tags, dtype=object),
         metadata=metadata,
     )
-
-
-def masked_tag() -> str:
-    return f"c{MASKED_CLASS}s{MASKED_SUBCLUSTER}"
 
 
 def swap_val_test(dataset: DomainDataset) -> DomainDataset:

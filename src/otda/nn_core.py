@@ -1,6 +1,9 @@
-"""Minimal differentiable feed-forward stack: a featurizer made of
-dense / per-sample-normalization / ReLU blocks, dense classification heads,
-cross-entropy, hand-written backpropagation, and SGD with momentum.
+"""otda's one network and its training arithmetic: a featurizer of dense /
+per-sample-normalization / ReLU blocks of widths FEATURE_WIDTHS, a linear
+classifier over NUM_CLASSES classes, and for dann a domain head with one
+hidden ReLU layer of DOMAIN_HEAD_WIDTH units; cross-entropy, hand-written
+backpropagation, and SGD with momentum. init_model(input_dim, domain_head,
+seed) builds the network for an input width.
 
 Everything is plain float64 numpy. Forward passes retain what the backward
 pass needs, unless the caller only wants the features; gradients are exact
@@ -27,6 +30,13 @@ from .eval_report import read_json
 # sqrt(floor) instead so constant rows map to zeros.
 VARIANCE_FLOOR = 1e-5
 
+# The one network every method trains: the featurizer's block widths (the
+# last is the feature width), the linear classifier's classes, and the
+# hidden width of the domain head that dann attaches.
+FEATURE_WIDTHS = (64, 64, 32)
+NUM_CLASSES = 2
+DOMAIN_HEAD_WIDTH = 16
+
 CHECKPOINT_FORMAT = "otda-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -46,31 +56,27 @@ def _flatten(layers) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Layout:
-    """A model's layer shapes and where their entries sit in its flat buffer:
-    featurizer, then classifier, then the domain head (None when absent),
-    each layer's weight (row-major) followed by its bias. Copies and steps of
-    a model share its layout, so it is worked out once per model."""
+    """otda's network for an input width, with or without the domain head:
+    its layer shapes and where their entries sit in its flat buffer. The
+    featurizer comes first, then the classifier, then the domain head, each
+    layer's weight (row-major) followed by its bias. Copies and steps of a
+    model share its layout, so it is worked out once per model."""
 
-    featurizer: tuple  # (fan_in, fan_out) per layer
-    classifier: tuple
-    domain_head: tuple | None
+    input_dim: int
+    with_head: bool
 
-    def __post_init__(self):
-        components = [("featurizer", self.featurizer), ("classifier", self.classifier)]
-        if self.domain_head is not None:
-            components.append(("domain_head", self.domain_head))
-        for name, shapes in components:
-            if not shapes:
-                raise ContractViolationError(f"{name} has no layers")
-            if name != "featurizer":  # the heads read the features
-                shapes = (self.featurizer[-1], *shapes)
-            for prev, nxt in zip(shapes, shapes[1:]):
-                if prev[1] != nxt[0]:
-                    raise ContractViolationError(f"{name} layer widths do not compose: {prev} then {nxt}")
+    @functools.cached_property
+    def parts(self) -> tuple:
+        """(featurizer, classifier, domain head) as tuples of (fan_in,
+        fan_out) per layer; the domain head's is empty when absent."""
+        widths = (self.input_dim, *FEATURE_WIDTHS)
+        feature_dim = FEATURE_WIDTHS[-1]
+        head = ((feature_dim, DOMAIN_HEAD_WIDTH), (DOMAIN_HEAD_WIDTH, 1)) if self.with_head else ()
+        return tuple(zip(widths, widths[1:])), ((feature_dim, NUM_CLASSES),), head
 
     @functools.cached_property
     def shapes(self) -> tuple:
-        return self.featurizer + self.classifier + (self.domain_head or ())
+        return sum(self.parts, ())
 
     @functools.cached_property
     def is_weight(self) -> np.ndarray:
@@ -90,8 +96,8 @@ class _Layout:
             mid = start + fan_in * fan_out
             layers.append(DenseLayer(buf[start:mid].reshape(fan_in, fan_out), buf[mid:mid + fan_out]))
             start = mid + fan_out
-        split, end = len(self.featurizer), len(self.featurizer) + len(self.classifier)
-        return tuple(layers[:split]), tuple(layers[split:end]), tuple(layers[end:]) or None
+        split = len(FEATURE_WIDTHS)
+        return tuple(layers[:split]), tuple(layers[split:split + 1]), tuple(layers[split + 1:]) or None
 
 
 class ModelParams:
@@ -115,15 +121,7 @@ class ModelParams:
 
     @property
     def input_dim(self) -> int:
-        return self.featurizer[0].weight.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.featurizer[-1].weight.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier[-1].weight.shape[1]
+        return self.layout.input_dim
 
 
 @dataclass
@@ -156,49 +154,17 @@ class OptimizerConfig:
             raise ContractViolationError("weight_decay must be nonnegative")
 
 
-def _init_layers(widths, rng) -> list:
-    layers = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        layers.append(DenseLayer(weight, np.zeros(fan_out)))
-    return layers
-
-
-def _model_from_layers(featurizer, classifier, domain_head) -> ModelParams:
-    """A model holding copies of the layers' arrays."""
-
-    def shapes(layers):
-        return None if layers is None else tuple(l.weight.shape for l in layers)
-
-    layout = _Layout(shapes(featurizer), shapes(classifier), shapes(domain_head))
-    flat = _flatten([*featurizer, *classifier, *(domain_head or ())])
-    return ModelParams(layout, flat)
-
-
-def init_model(
-    input_dim: int,
-    feature_widths=(64, 64, 32),
-    num_classes: int = 2,
-    classifier_widths=(),
-    domain_head_widths=None,
-    seed: int = 0,
-) -> ModelParams:
-    """Fan-in-scaled uniform initialization, deterministic per seed.
-
-    feature_widths are the hidden widths of the featurizer (its last entry is
-    the feature dimension); classifier_widths are extra hidden widths before
-    the final linear logits layer. Pass domain_head_widths (e.g. (16,)) to
-    attach a single-logit domain discriminator.
-    """
+def init_model(input_dim: int, domain_head: bool = False, seed: int = 0) -> ModelParams:
+    """otda's network for inputs of width input_dim, with the domain head
+    when domain_head is set: fan-in-scaled uniform weights drawn layer by
+    layer in layout order, deterministic per seed, and zero biases."""
     rng = np.random.default_rng([int(seed), 0])
-    featurizer = _init_layers([input_dim, *feature_widths], rng)
-    feature_dim = (input_dim, *feature_widths)[-1]  # no widths: _Layout refuses the empty featurizer
-    classifier = _init_layers([feature_dim, *classifier_widths, num_classes], rng)
-    domain_head = None
-    if domain_head_widths is not None:
-        domain_head = _init_layers([feature_dim, *domain_head_widths, 1], rng)
-    return _model_from_layers(featurizer, classifier, domain_head)
+    layout = _Layout(input_dim, domain_head)
+    params = ModelParams(layout, np.zeros(layout.size))
+    for layer in params.featurizer + params.classifier + (params.domain_head or ()):
+        bound = 1.0 / np.sqrt(layer.weight.shape[0])
+        layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
+    return params
 
 
 def _normalize_rows(z: np.ndarray, squares: np.ndarray):
@@ -292,9 +258,9 @@ def _head_backward(layers, inputs, dout, grads=None):
 def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Map features to logits through the classification head."""
     f = np.asarray(features, dtype=float)
-    if f.ndim != 2 or f.shape[1] != params.feature_dim:
+    if f.ndim != 2 or f.shape[1] != FEATURE_WIDTHS[-1]:
         raise ContractViolationError(
-            f"features of shape {f.shape} do not match classifier input width {params.feature_dim}"
+            f"features of shape {f.shape} do not match classifier input width {FEATURE_WIDTHS[-1]}"
         )
     out, _ = _head_forward(params.classifier, f)
     return out
@@ -358,18 +324,13 @@ def backward(
     The classifier's layer inputs are recomputed from the traced features;
     both upstream terms may be given at once and their contributions sum.
     """
-    if len(trace.inputs) != len(params.featurizer):
-        raise ContractViolationError("trace does not match the model's featurizer depth")
-    if trace.features.shape[1] != params.feature_dim:
-        raise ContractViolationError("trace feature width does not match the model")
-
     grads = ModelParams(params.layout, np.zeros(params.layout.size))
     # The feature gradient is the sum 0 + dx + g, which is +0.0 where dx and
     # g are both -0.0: adding +0.0 first keeps that without a zero buffer.
     grad = None
     if upstream_logit_grads is not None:
         dlogits = np.asarray(upstream_logit_grads, dtype=float)
-        if dlogits.shape != (trace.features.shape[0], params.num_classes):
+        if dlogits.shape != (trace.features.shape[0], NUM_CLASSES):
             raise ContractViolationError(f"logit grads shape {dlogits.shape} does not match the trace")
         inputs = _head_inputs(params.classifier, trace.features)
         _, grad = _head_backward(params.classifier, inputs, dlogits, grads.classifier)
@@ -456,6 +417,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The model save_checkpoint wrote to path. A file whose layers are not
+    otda's network for its first layer's input width, with or without the
+    domain head, is a ParseError."""
     where = str(path)
     payload = read_json(path)
     if payload.get("format") != CHECKPOINT_FORMAT:
@@ -465,8 +429,9 @@ def load_checkpoint(path) -> ModelParams:
     featurizer = _layers_from_json(payload.get("featurizer"), where, "featurizer")
     classifier = _layers_from_json(payload.get("classifier"), where, "classifier")
     head = payload.get("domain_head")
-    domain_head = None if head is None else _layers_from_json(head, where, "domain_head")
-    try:
-        return _model_from_layers(featurizer, classifier, domain_head)
-    except ContractViolationError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    domain_head = [] if head is None else _layers_from_json(head, where, "domain_head")
+    parts = tuple(tuple(l.weight.shape for l in layers) for layers in (featurizer, classifier, domain_head))
+    layout = _Layout(featurizer[0].weight.shape[0] if featurizer else 0, head is not None)
+    if parts != layout.parts:
+        raise ParseError(f"{where}: layers of shapes {parts} are not otda's network")
+    return ModelParams(layout, _flatten([*featurizer, *classifier, *domain_head]))

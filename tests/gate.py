@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from otda.da_train import SweepResult, TrainConfig, _train_cells
-from otda.data_gen import DomainDataset, masked_tag, swap_val_test
+from otda.data_gen import MASKED_TAG, DomainDataset, swap_val_test
 from otda.eval_report import accuracy
 from otda.nn_core import forward_classifier, forward_features
 from otda.posthoc_align import evaluate_posthoc
@@ -70,7 +70,7 @@ def masked_accuracy(dataset: DomainDataset, runs) -> float:
     """Mean accuracy of the runs' models on the test split's withheld
     subcluster."""
     idx = dataset.split_indices("test")
-    mask = dataset.subclusters[idx] == masked_tag()
+    mask = dataset.subclusters[idx] == MASKED_TAG
     x, y = dataset.features[idx][mask], dataset.labels[idx][mask]
     accuracies = []
     for _, params in runs:

@@ -92,7 +92,7 @@ def test_criterion_2_gradient_correctness():
                             marginal_tolerance=1e-9)
         config = TrainConfig(method="ot", alpha=0.3, sinkhorn=sk, seed=0)
         for instance in range(20):
-            params = init_model(4, feature_widths=(4, 3), num_classes=2, seed=instance)
+            params = init_model(4, seed=instance)
             xs = rng.standard_normal((6, 4))
             ys = rng.integers(0, 2, 6)
             xt = rng.standard_normal((6, 4))

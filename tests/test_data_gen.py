@@ -13,12 +13,12 @@ from hypothesis.extra.numpy import arrays
 from helpers import probe_accuracy, raises_exactly
 from otda import data_gen
 from otda.data_gen import (
+    MASKED_TAG,
     SPLITS,
     DomainDataset,
     GeneratorConfig,
     generate,
     load,
-    masked_tag,
     save,
     swap_val_test,
 )
@@ -155,7 +155,7 @@ class TestGenerate:
         assert np.array_equal(a.subclusters, b.subclusters)
 
     def test_masked_subcluster_only_in_test_domain(self, default_ds):
-        masked = default_ds.subclusters == masked_tag()
+        masked = default_ds.subclusters == MASKED_TAG
         assert masked.any()
         assert set(default_ds.splits[masked]) == {"test"}
 
@@ -261,7 +261,7 @@ class TestSaveLoad:
         assert np.array_equal(loaded.labels, default_ds.labels)
         assert np.array_equal(loaded.domain_ids, default_ds.domain_ids)
         assert np.array_equal(loaded.subclusters, default_ds.subclusters)
-        assert loaded.metadata["masked_subcluster"]["tag"] == masked_tag()
+        assert loaded.metadata["masked_subcluster"]["tag"] == MASKED_TAG
 
     def test_byte_identical_saves(self, default_ds, tmp_path):
         save(default_ds, tmp_path / "a.csv")

@@ -12,12 +12,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import central_diff, grads_arrays, model_arrays, params_equal, raises_exactly, rel_err, zeros_like
+from helpers import (
+    central_diff,
+    grads_arrays,
+    model_arrays,
+    params_equal,
+    raises_exactly,
+    rel_err,
+    sampled_central_diff,
+    zeros_like,
+)
 from otda.errors import ContractViolationError, ParseError
 from otda.nn_core import (
+    FEATURE_WIDTHS,
+    NUM_CLASSES,
     VARIANCE_FLOOR,
     ModelParams,
     OptimizerConfig,
+    _head_backward,
+    _head_forward,
     _norm_backward,
     _normalize_rows,
     backward,
@@ -31,11 +44,9 @@ from otda.nn_core import (
 )
 
 
-def tiny_model(seed=0, domain_head=False):
-    return init_model(
-        4, feature_widths=(6, 5), num_classes=3, classifier_widths=(4,),
-        domain_head_widths=(3,) if domain_head else None, seed=seed,
-    )
+def network(seed=0, domain_head=False):
+    """The network for 4-wide inputs."""
+    return init_model(4, domain_head=domain_head, seed=seed)
 
 
 def _traced(params, rows=4):
@@ -43,20 +54,15 @@ def _traced(params, rows=4):
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: init_model(4, feature_widths=()), "featurizer has no layers", id="no-featurizer"),
-    pytest.param(lambda: ModelParams(tiny_model().layout, np.zeros(3)),
-                 f"buffer of shape (3,) does not fit a layout of {tiny_model().layout.size} entries", id="buffer-size"),
-    pytest.param(lambda: forward_classifier(tiny_model(), np.zeros((2, 7))),
-                 "features of shape (2, 7) do not match classifier input width 5", id="classifier-width"),
+    pytest.param(lambda: ModelParams(network().layout, np.zeros(3)),
+                 f"buffer of shape (3,) does not fit a layout of {network().layout.size} entries", id="buffer-size"),
+    pytest.param(lambda: forward_classifier(network(), np.zeros((2, 7))),
+                 "features of shape (2, 7) do not match classifier input width 32", id="classifier-width"),
     pytest.param(lambda: cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int)),
                  "labels shape (2,) does not match 3 rows of logits", id="labels-shape"),
-    pytest.param(lambda: backward(tiny_model(), _traced(init_model(4, feature_widths=(6,), num_classes=3)), None,
-                                  np.zeros((4, 3))), "trace does not match the model's featurizer depth", id="trace-depth"),
-    pytest.param(lambda: backward(tiny_model(), _traced(init_model(4, feature_widths=(6, 7), num_classes=3)), None,
-                                  np.zeros((4, 3))), "trace feature width does not match the model", id="trace-width"),
-    pytest.param(lambda: backward(tiny_model(), _traced(tiny_model()), None, np.zeros((4, 2))),
-                 "logit grads shape (4, 2) does not match the trace", id="logit-grads-shape"),
-    pytest.param(lambda: backward(tiny_model(), _traced(tiny_model()), np.zeros((3, 5)), None),
+    pytest.param(lambda: backward(network(), _traced(network()), None, np.zeros((4, 3))),
+                 "logit grads shape (4, 3) does not match the trace", id="logit-grads-shape"),
+    pytest.param(lambda: backward(network(), _traced(network()), np.zeros((3, 5)), None),
                  "feature grads shape (3, 5) does not match the trace", id="feature-grads-shape"),
 ])
 def test_library_guard_names_the_fault(call, message):
@@ -67,15 +73,15 @@ def test_library_guard_names_the_fault(call, message):
 
 class TestForwardFeatures:
     def test_zero_weights_give_zero_features(self):
-        params = tiny_model()
+        params = network()
         for layer in params.featurizer:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
         features, _ = forward_features(params, np.random.default_rng(0).standard_normal((5, 4)))
-        assert np.array_equal(features, np.zeros((5, 5)))
+        assert np.array_equal(features, np.zeros((5, 32)))
 
     def test_duplicated_row_duplicates_features(self):
-        params = tiny_model(seed=1)
+        params = network(seed=1)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 4))
         x[2] = x[0]
@@ -83,7 +89,7 @@ class TestForwardFeatures:
         assert np.array_equal(features[2], features[0])
 
     def test_row_permutation_equivariance(self):
-        params = tiny_model(seed=2)
+        params = network(seed=2)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 4))
         perm = rng.permutation(6)
@@ -92,15 +98,15 @@ class TestForwardFeatures:
         assert np.array_equal(shuffled, base[perm])
 
     def test_normalized_rows_standardized(self):
-        params = tiny_model(seed=3)
+        params = network(seed=3)
         _, trace = forward_features(params, np.random.default_rng(3).standard_normal((10, 4)))
         for normalized in trace.normalized:
             assert np.abs(normalized.mean(axis=1)).max() <= 1e-7
             assert np.abs(normalized.var(axis=1) - 1.0).max() <= 1e-4
 
     def test_shape_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            forward_features(tiny_model(), np.zeros((2, 5)))
+        with raises_exactly(ContractViolationError, "inputs of shape (2, 5) do not match featurizer input width 4"):
+            forward_features(network(), np.zeros((2, 5)))
 
 
 def textbook_normalize_rows(z):
@@ -169,11 +175,11 @@ class TestNormalizationKernels:
 
 class TestForwardClassifier:
     def test_identity_layer_passes_features_through(self):
-        params = init_model(4, feature_widths=(5,), num_classes=5, seed=0)
-        params.classifier[0].weight[:] = np.eye(5)
+        params = network()
+        params.classifier[0].weight[:] = np.eye(32, 2)
         params.classifier[0].bias[:] = 0.0
-        features = np.random.default_rng(4).standard_normal((3, 5))
-        assert np.array_equal(forward_classifier(params, features), features)
+        features = np.random.default_rng(4).standard_normal((3, 32))
+        assert np.array_equal(forward_classifier(params, features), features[:, :2])
 
     def test_logit_shift_leaves_cross_entropy_unchanged(self):
         rng = np.random.default_rng(5)
@@ -184,7 +190,7 @@ class TestForwardClassifier:
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_single_row_matches_batch_row(self):
-        params = tiny_model(seed=6)
+        params = network(seed=6)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 4))
         features, _ = forward_features(params, x)
@@ -212,7 +218,7 @@ class TestCrossEntropy:
         assert rel_err(grads, fd).max() <= 1e-5
 
     def test_label_out_of_range(self):
-        with pytest.raises(ContractViolationError):
+        with raises_exactly(ContractViolationError, "labels must lie in [0, 2)"):
             cross_entropy(np.zeros((2, 2)), np.array([0, 2]))
 
 
@@ -267,7 +273,7 @@ def backward_cases(draw):
     constant through every block, so they sit at the variance floor; the
     upstream gradients (either, both or none) hold -0.0 entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = tiny_model(seed=draw(st.integers(0, 3)), domain_head=draw(st.booleans()))
+    params = network(seed=draw(st.integers(0, 3)), domain_head=draw(st.booleans()))
     n = draw(st.integers(1, 12))
     x = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3, 2)
     x[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
@@ -279,8 +285,8 @@ def backward_cases(draw):
         return g
 
     terms = draw(st.sampled_from(["features", "logits", "both", "neither"]))
-    feature_grads = upstream((n, params.feature_dim)) if terms in ("features", "both") else None
-    logit_grads = upstream((n, params.num_classes)) if terms in ("logits", "both") else None
+    feature_grads = upstream((n, FEATURE_WIDTHS[-1])) if terms in ("features", "both") else None
+    logit_grads = upstream((n, NUM_CLASSES)) if terms in ("logits", "both") else None
     return params, x, feature_grads, logit_grads
 
 
@@ -312,7 +318,7 @@ class TestUntracedForward:
         assert untraced.tobytes() == traced.tobytes()
 
     def test_scaled_rows_sit_on_both_sides_of_the_floor(self):
-        params = tiny_model(seed=1)
+        params = network(seed=1)
         x = np.random.default_rng(1).standard_normal((64, 4))
         scale_to_floor(params, x, range(64))
         variance = (x @ params.featurizer[0].weight).var(axis=1)
@@ -356,18 +362,18 @@ class TestBackward:
         assert [a.tobytes() for a in (*trace.inputs, *trace.normalized, trace.features)] == [a.tobytes() for a in traced]
 
     def test_zero_upstream_zero_grads(self):
-        params = tiny_model(seed=8)
+        params = network(seed=8)
         x = np.random.default_rng(8).standard_normal((4, 4))
         features, trace = forward_features(params, x)
-        grads = backward(params, trace, np.zeros_like(features), np.zeros((4, 3)))
+        grads = backward(params, trace, np.zeros_like(features), np.zeros((4, 2)))
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads.featurizer + grads.classifier)
 
     def test_full_composite_gradcheck(self):
-        params = tiny_model(seed=9)
+        params = network(seed=9)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((8, 4))
-        labels = rng.integers(0, 3, 8)
-        target = 0.3 * rng.standard_normal((8, 5))
+        labels = rng.integers(0, 2, 8)
+        target = 0.3 * rng.standard_normal((8, 32))
 
         def loss():
             features, _ = forward_features(params, x)
@@ -378,34 +384,23 @@ class TestBackward:
         _, dlogits = cross_entropy(forward_classifier(params, features), labels)
         grads = backward(params, trace, features - target, dlogits)
         for arr, grad in zip(model_arrays(params), grads_arrays(grads)):
-            fd = central_diff(loss, arr, h=1e-6)
-            assert rel_err(grad, fd).max() <= 1e-4
+            assert sampled_central_diff(loss, arr, grad, rng, probes=30, h=1e-6) <= 1e-4
 
     def test_dead_relu_unit_in_head_gets_zero_gradient(self):
-        params = tiny_model(seed=10)
-        # force hidden classifier unit 1 dead: large negative bias
-        params.classifier[0].bias[1] = -100.0
+        params = network(seed=10, domain_head=True)
+        # force the domain head's hidden unit 1 dead: large negative bias
+        params.domain_head[0].bias[1] = -100.0
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((6, 4))
-        labels = rng.integers(0, 3, 6)
-        features, trace = forward_features(params, x)
-        _, dlogits = cross_entropy(forward_classifier(params, features), labels)
-        grads = backward(params, trace, None, dlogits)
-        assert np.all(grads.classifier[0][0][:, 1] == 0.0)
-        assert grads.classifier[0][1][1] == 0.0
-
-    def test_mismatched_trace_rejected(self):
-        params = tiny_model(seed=11)
-        other = init_model(4, feature_widths=(6,), num_classes=3, seed=11)
-        x = np.random.default_rng(11).standard_normal((4, 4))
-        _, trace = forward_features(other, x)
-        with pytest.raises(ContractViolationError):
-            backward(params, trace, None, np.zeros((4, 3)))
+        features, _ = forward_features(params, rng.standard_normal((6, 4)))
+        out, inputs = _head_forward(params.domain_head, features)
+        grads, _ = _head_backward(params.domain_head, inputs, rng.standard_normal(out.shape))
+        assert np.all(grads[0].weight[:, 1] == 0.0) and grads[0].bias[1] == 0.0
+        assert np.all(grads[1].weight[1] == 0.0)
 
 
 class TestSgdStep:
     def test_plain_gradient_descent(self):
-        params = tiny_model(seed=12)
+        params = network(seed=12)
         grads = zeros_like(params)
         grads.featurizer[0].weight[...] = 1.0
         before = params.featurizer[0].weight.copy()
@@ -413,7 +408,7 @@ class TestSgdStep:
         assert np.allclose(updated.featurizer[0].weight, before - 0.05)
 
     def test_weight_decay_closed_form(self):
-        params = tiny_model(seed=13)
+        params = network(seed=13)
         before_w = params.featurizer[1].weight.copy()
         before_b = params.featurizer[1].bias.copy()
         updated = sgd_step(params, zeros_like(params), zeros_like(params), OptimizerConfig(0.1, 0.0, 0.5))
@@ -421,7 +416,7 @@ class TestSgdStep:
         assert np.array_equal(updated.featurizer[1].bias, before_b)
 
     def test_momentum_unroll(self):
-        params = tiny_model(seed=14)
+        params = network(seed=14)
         grads, velocity = zeros_like(params), zeros_like(params)
         g = np.ones_like(params.classifier[0].weight)
         grads.classifier[0].weight[...] = g
@@ -433,7 +428,7 @@ class TestSgdStep:
         assert np.allclose(velocity.classifier[0].weight, 1.9 * g)
 
     def test_original_params_not_mutated(self):
-        params = tiny_model(seed=15)
+        params = network(seed=15)
         before = params.flat.copy()
         grads = zeros_like(params)
         grads.featurizer[0].weight[...] = 1.0
@@ -445,7 +440,7 @@ class TestSgdStep:
         # the per-layer update that sgd_step replaced is the reference; the
         # featurizer's -0.0 bias gradients and momenta show whether bias
         # entries see any weight-decay term
-        params = tiny_model(seed=18, domain_head=True)
+        params = network(seed=18, domain_head=True)
         rng = np.random.default_rng(18)
         params.flat[:] = rng.standard_normal(params.flat.size)
         velocity = ModelParams(params.layout, rng.standard_normal(params.flat.size))
@@ -470,25 +465,25 @@ class TestSgdStep:
             assert new_w.bias.tobytes() == (w.bias - config.learning_rate * vb).tobytes()
 
     def test_grads_must_span_the_whole_model(self):
-        params = tiny_model(seed=19, domain_head=True)
+        params = network(seed=19, domain_head=True)
         head = sum(layer.weight.size + layer.bias.size for layer in params.domain_head)
         for size in (params.layout.size - head, params.layout.size + 1):  # stopping before the head, or past it
             with pytest.raises(ContractViolationError, match="does not fit a layout"):
                 ModelParams(params.layout, np.zeros(size))
-        headless = tiny_model(seed=19)
+        headless = network(seed=19)
         for grads, velocity in ((params, headless), (headless, params)):
-            with pytest.raises(ContractViolationError, match="do not match the model's layout"):
+            with raises_exactly(ContractViolationError, "gradients and momentum do not match the model's layout"):
                 sgd_step(headless, zeros_like(grads), zeros_like(velocity), OptimizerConfig())
 
     def test_grad_components_reject_assignment(self):
-        grads = zeros_like(tiny_model(seed=20))
-        with pytest.raises(TypeError):
-            grads.featurizer[0] = (np.ones((4, 6)), np.zeros(6))
+        grads = zeros_like(network(seed=20))
+        with raises_exactly(TypeError, "'tuple' object does not support item assignment"):
+            grads.featurizer[0] = (np.ones((4, 64)), np.zeros(64))
 
 
 class TestFlatBuffer:
     def test_layers_view_one_buffer_in_layout_order(self):
-        params = tiny_model(seed=21, domain_head=True)
+        params = network(seed=21, domain_head=True)
         layers = params.featurizer + params.classifier + params.domain_head
         assert params.flat.tobytes() == b"".join(a.tobytes() for layer in layers for a in layer)
         copied = ModelParams(params.layout, params.flat.copy())
@@ -499,23 +494,36 @@ class TestFlatBuffer:
 
 class TestInitialization:
     def test_deterministic_per_seed(self):
-        a, b = tiny_model(seed=42), tiny_model(seed=42)
+        a, b = network(seed=42), network(seed=42)
         assert params_equal(a.featurizer, b.featurizer)
         assert params_equal(a.classifier, b.classifier)
+
+    def test_layers_drawn_in_layout_order(self):
+        # fan-in-scaled uniform weights, one draw per layer: featurizer,
+        # classifier, then the domain head; biases are zero
+        rng = np.random.default_rng([5, 0])
+        expected = []
+        for fan_in, fan_out in [(8, 64), (64, 64), (64, 32), (32, 2), (32, 16), (16, 1)]:
+            bound = 1.0 / np.sqrt(fan_in)
+            expected += [rng.uniform(-bound, bound, size=(fan_in, fan_out)).reshape(-1), np.zeros(fan_out)]
+        assert init_model(8, domain_head=True, seed=5).flat.tobytes() == np.concatenate(expected).tobytes()
 
     def test_initial_logit_scale(self):
         rng = np.random.default_rng(16)
         for seed in range(5):
-            params = init_model(8, feature_widths=(64, 64, 32), num_classes=2, seed=seed)
+            params = init_model(8, seed=seed)
             x = rng.standard_normal((200, 8))
             features, _ = forward_features(params, x)
             logits = forward_classifier(params, features)
             assert 0.1 <= logits.std() <= 10.0
 
 
+_FEATURIZER = "((4, 64), (64, 64), (64, 32))"
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        params = tiny_model(seed=17, domain_head=True)
+        params = network(seed=17, domain_head=True)
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
@@ -527,13 +535,13 @@ class TestCheckpoint:
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text("{\"format\": \"something-else\"}")
-        with pytest.raises(ParseError):
+        with raises_exactly(ParseError, f"{path}: not a checkpoint file (format='something-else')"):
             load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json")
-        with pytest.raises(ParseError):
+        with raises_exactly(ParseError, f"{path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"):
             load_checkpoint(path)
 
     def test_non_utf8_bytes_are_parse_error(self, tmp_path):
@@ -551,7 +559,7 @@ class TestCheckpoint:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_round_trip_is_bitwise(self, tmp_path, data):
-        params = tiny_model(seed=3, domain_head=True)
+        params = network(seed=3, domain_head=True)
         finite = st.floats(allow_nan=False, allow_infinity=False)
         for layer in params.featurizer + params.classifier + params.domain_head:
             layer.weight[...] = data.draw(arrays(float, layer.weight.shape, elements=finite))
@@ -564,11 +572,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_weights(self, tmp_path, field, value):
         path = tmp_path / "model.json"
-        save_checkpoint(tiny_model(seed=4), path)
+        save_checkpoint(network(seed=4), path)
         payload = json.loads(path.read_text())
         payload["classifier"][0][field][0] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParseError):
+        with raises_exactly(ParseError, f"{path}: layer 0 holds a non-finite weight or bias"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -578,22 +586,26 @@ class TestCheckpoint:
             (lambda payload: {k: v for k, v in payload.items() if k != "featurizer"},
              "featurizer must be a list of layers, got NoneType"),
             (lambda payload: {**payload, "featurizer": 5}, "featurizer must be a list of layers, got int"),
-            (lambda payload: {**payload, "featurizer": [{**payload["featurizer"][0], "shape": [24]}]},
-             "layer 0 has weight shape (24,) and bias shape (6,)"),
-            # a classifier reading 6 inputs behind a featurizer of width 5
-            (lambda payload: {**payload, "classifier": [{"shape": [6, 3], "weight": [0.0] * 18, "bias": [0.0] * 3}]},
-             "classifier layer widths do not compose: (6, 5) then (6, 3)"),
+            (lambda payload: {**payload, "featurizer": [{**payload["featurizer"][0], "shape": [256]}]},
+             "layer 0 has weight shape (256,) and bias shape (64,)"),
+            # a classifier reading 6 inputs behind a featurizer of width 32
+            (lambda payload: {**payload, "classifier": [{"shape": [6, 2], "weight": [0.0] * 12, "bias": [0.0] * 2}]},
+             f"layers of shapes ({_FEATURIZER}, ((6, 2),), ()) are not otda's network"),
             (lambda payload: {**payload, "featurizer": [{"shape": [4, 6], "bias": [0.0] * 6}]},
              "malformed layer 0: 'weight'"),
-            (lambda payload: {**payload, "featurizer": []}, "featurizer has no layers"),
+            (lambda payload: {**payload, "featurizer": []},
+             "layers of shapes ((), ((32, 2),), ()) are not otda's network"),
+            # a domain head without its hidden layer
+            (lambda payload: {**payload, "domain_head": [{"shape": [32, 1], "weight": [0.0] * 32, "bias": [0.0]}]},
+             f"layers of shapes ({_FEATURIZER}, ((32, 2),), ((32, 1),)) are not otda's network"),
             (lambda payload: {**payload, "version": 99}, "unsupported checkpoint version 99"),
         ],
         ids=["json-array", "no-featurizer", "featurizer-not-a-list", "one-dim-shape", "classifier-width",
-             "layer-without-weight", "empty-featurizer", "version"],
+             "layer-without-weight", "empty-featurizer", "head-depth", "version"],
     )
     def test_malformed_structure_is_parse_error(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
-        save_checkpoint(tiny_model(seed=5), path)
+        save_checkpoint(network(seed=5), path)
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
         with raises_exactly(ParseError, f"{path}: {message}"):
             load_checkpoint(path)

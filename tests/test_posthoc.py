@@ -4,11 +4,12 @@ frozen-model evaluation semantics."""
 import numpy as np
 import pytest
 
+from helpers import raises_exactly
 from otda import posthoc_align
 from otda.data_gen import GeneratorConfig, generate
 from otda.da_train import TrainConfig, train_with_model
 from otda.errors import ContractViolationError, SinkhornConvergenceError
-from otda.nn_core import ModelParams, forward_classifier, forward_features, init_model
+from otda.nn_core import FEATURE_WIDTHS, ModelParams, forward_classifier, forward_features
 from otda.posthoc_align import barycentric_map, evaluate_posthoc
 
 
@@ -44,15 +45,15 @@ class TestBarycentricMap:
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with raises_exactly(ContractViolationError, "dimension mismatch: source has d=5, target has d=4"):
             barycentric_map(np.zeros((3, 4)), np.zeros((3, 5)))
 
     def test_empty_target_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with raises_exactly(ContractViolationError, "points must be a non-empty 2-D array, got shape (0, 3)"):
             barycentric_map(np.ones((4, 3)), np.zeros((0, 3)))
 
     def test_nonpositive_epsilon_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with raises_exactly(ContractViolationError, "epsilon must be positive, got 0.0"):
             barycentric_map(np.zeros((3, 4)), np.zeros((3, 4)), epsilon=0.0)
 
 
@@ -71,7 +72,7 @@ class TestEvaluatePosthoc:
         for res in results.values():
             assert 0.0 <= res.pre_accuracy <= 1.0
             assert 0.0 <= res.post_accuracy <= 1.0
-            assert res.aligned_features.shape[1] == params.feature_dim
+            assert res.aligned_features.shape[1] == FEATURE_WIDTHS[-1]
 
     def test_constant_classifier_gives_majority_rate(self, trained):
         dataset, params = trained
