@@ -13,7 +13,6 @@ from .da_train import (
     alpha_sweep,
     composite_loss_step,
     dann_step,
-    train,
     train_with_model,
 )
 from .eval_report import RocCurve, accuracy, pca_project, roc_auc, subcluster_breakdown
@@ -87,6 +86,5 @@ __all__ = [
     "sinkhorn",
     "subcluster_breakdown",
     "swap_val_test",
-    "train",
     "train_with_model",
 ]

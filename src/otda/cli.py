@@ -167,7 +167,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _load_dataset(path_str: str, swap: bool = False) -> data_gen.DomainDataset:
+def _load_dataset(path_str: str, swap: bool) -> data_gen.DomainDataset:
     path = Path(path_str)
     if path.is_dir():
         path = path / "dataset.csv"

@@ -29,8 +29,8 @@ from .eval_report import accuracy, mean_std, read_json, roc_auc, softmax_scores,
 from .nn_core import (
     ModelParams,
     OptimizerConfig,
-    _head_backward,
-    _head_forward,
+    _domain_head_backward,
+    _domain_head_forward,
     backward,
     cross_entropy,
     forward_classifier,
@@ -198,9 +198,9 @@ def _adversary_term(params: ModelParams, features_s, features_t, config: TrainCo
     n = len(features_s)
     stacked = np.vstack([features_s, features_t])
     domain_targets = np.concatenate([np.zeros(n), np.ones(len(features_t))])
-    head_out, head_inputs = _head_forward(params.domain_head, stacked)
+    head_out, hidden = _domain_head_forward(params.domain_head, stacked)
     domain_loss, dhead = binary_cross_entropy_with_logits(head_out, domain_targets)
-    head_grads, dstacked = _head_backward(params.domain_head, head_inputs, dhead)
+    head_grads, dstacked = _domain_head_backward(params.domain_head, stacked, hidden, dhead)
     return domain_loss, -dstacked[:n], -dstacked[n:], head_grads
 
 
@@ -377,10 +377,6 @@ def train_with_model(dataset: DomainDataset, config: TrainConfig) -> tuple:
         seed=config.seed,
     )
     return report, best_params
-
-
-def train(dataset: DomainDataset, config: TrainConfig) -> RunReport:
-    return train_with_model(dataset, config)[0]
 
 
 _worker_dataset = None

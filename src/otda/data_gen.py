@@ -346,7 +346,8 @@ def load(path) -> DomainDataset:
             raise ParseError(f"{meta_path}: metadata must be an object, got {type(metadata).__name__}")
         raw_tags = sidecar.get("subclusters")
         if raw_tags is not None:
-            if not isinstance(raw_tags, list) or len(raw_tags) != feats.shape[0]:
-                raise ParseError(f"{meta_path}: subclusters must be a list of {feats.shape[0]} tags")
+            if not (isinstance(raw_tags, list) and len(raw_tags) == feats.shape[0]
+                    and all(isinstance(tag, str) for tag in raw_tags)):
+                raise ParseError(f"{meta_path}: subclusters must be a list of {feats.shape[0]} string tags")
             subclusters = np.array(raw_tags, dtype=object)
     return DomainDataset(feats, labels, domains, splits, subclusters, metadata)

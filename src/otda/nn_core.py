@@ -1,9 +1,10 @@
 """otda's one network and its training arithmetic: a featurizer of dense /
 per-sample-normalization / ReLU blocks of widths FEATURE_WIDTHS, a linear
 classifier over NUM_CLASSES classes, and for dann a domain head with one
-hidden ReLU layer of DOMAIN_HEAD_WIDTH units; cross-entropy, hand-written
-backpropagation, and SGD with momentum. init_model(input_dim, domain_head,
-seed) builds the network for an input width.
+hidden ReLU layer of DOMAIN_HEAD_WIDTH units and one logit; cross-entropy,
+hand-written backpropagation, and SGD with momentum. Each head's passes are
+written for its one shape. init_model(input_dim, domain_head, seed) builds
+the network for an input width.
 
 Everything is plain float64 numpy. Forward passes retain what the backward
 pass needs, unless the caller only wants the features; gradients are exact
@@ -220,50 +221,43 @@ def forward_features(params: ModelParams, inputs: np.ndarray, keep_trace: bool =
     return x, trace
 
 
-def _head_inputs(layers, x: np.ndarray) -> list:
-    """Each layer's input in a dense head, ReLU between layers: x, then the
-    hidden activations. The final layer's output is not computed."""
-    inputs = [x]
-    for layer in layers[:-1]:
-        z = inputs[-1] @ layer.weight
-        z += layer.bias
-        inputs.append(np.maximum(z, 0.0, out=z))
-    return inputs
-
-
-def _head_forward(layers, x: np.ndarray):
-    """Dense head, final layer linear. Returns (output, per-layer inputs)."""
-    inputs = _head_inputs(layers, x)
-    out = inputs[-1] @ layers[-1].weight
-    out += layers[-1].bias
-    return out, inputs
-
-
-def _head_backward(layers, inputs, dout, grads=None):
-    """Backprop through a dense head, writing each layer's (dW, db) into
-    grads (fresh arrays when None). A hidden unit passes gradient where its
-    ReLU output, the next layer's input, is positive. Returns (grads, dx)."""
-    if grads is None:
-        grads = [DenseLayer(np.empty_like(l.weight), np.empty_like(l.bias)) for l in layers]
-    grad = dout
-    for i in range(len(layers) - 1, -1, -1):
-        if i != len(layers) - 1:  # grad is the product below, so it can be masked in place
-            grad *= inputs[i + 1] > 0
-        np.matmul(inputs[i].T, grad, out=grads[i].weight)
-        np.add.reduce(grad, axis=0, out=grads[i].bias)
-        grad = grad @ layers[i].weight.T
-    return grads, grad
-
-
 def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Map features to logits through the classification head."""
+    """Map features to logits through the linear classifier."""
     f = np.asarray(features, dtype=float)
     if f.ndim != 2 or f.shape[1] != FEATURE_WIDTHS[-1]:
         raise ContractViolationError(
             f"features of shape {f.shape} do not match classifier input width {FEATURE_WIDTHS[-1]}"
         )
-    out, _ = _head_forward(params.classifier, f)
+    (layer,) = params.classifier
+    out = f @ layer.weight
+    out += layer.bias
     return out
+
+
+def _domain_head_forward(head, x: np.ndarray) -> tuple:
+    """The domain head's logits for features x: a hidden ReLU layer, then
+    one linear output unit. Returns (logits, hidden activations)."""
+    hidden_layer, out_layer = head
+    z = x @ hidden_layer.weight
+    z += hidden_layer.bias
+    hidden = np.maximum(z, 0.0, out=z)
+    logits = hidden @ out_layer.weight
+    logits += out_layer.bias
+    return logits, hidden
+
+
+def _domain_head_backward(head, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray) -> tuple:
+    """Backprop dlogits through the domain head that _domain_head_forward ran
+    on x. A hidden unit passes gradient where its ReLU output is positive.
+    Returns ((hidden layer's, output layer's) DenseLayer gradients, dx)."""
+    hidden_layer, out_layer = head
+    dhidden = dlogits @ out_layer.weight.T
+    dhidden *= hidden > 0
+    grads = (
+        DenseLayer(x.T @ dhidden, np.add.reduce(dhidden, axis=0)),
+        DenseLayer(hidden.T @ dlogits, np.add.reduce(dlogits, axis=0)),
+    )
+    return grads, dhidden @ hidden_layer.weight.T
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
@@ -321,8 +315,8 @@ def backward(
     """Reverse-mode gradients of any scalar loss whose partials with respect
     to the features and/or the logits are supplied.
 
-    The classifier's layer inputs are recomputed from the traced features;
-    both upstream terms may be given at once and their contributions sum.
+    The classifier's gradients come from the traced features; both upstream
+    terms may be given at once and their contributions sum.
     """
     grads = ModelParams(params.layout, np.zeros(params.layout.size))
     # The feature gradient is the sum 0 + dx + g, which is +0.0 where dx and
@@ -332,8 +326,10 @@ def backward(
         dlogits = np.asarray(upstream_logit_grads, dtype=float)
         if dlogits.shape != (trace.features.shape[0], NUM_CLASSES):
             raise ContractViolationError(f"logit grads shape {dlogits.shape} does not match the trace")
-        inputs = _head_inputs(params.classifier, trace.features)
-        _, grad = _head_backward(params.classifier, inputs, dlogits, grads.classifier)
+        (layer,), (dlayer,) = params.classifier, grads.classifier
+        np.matmul(trace.features.T, dlogits, out=dlayer.weight)
+        np.add.reduce(dlogits, axis=0, out=dlayer.bias)
+        grad = dlogits @ layer.weight.T
         grad += 0.0
     if upstream_feature_grads is not None:
         g = np.asarray(upstream_feature_grads, dtype=float)

@@ -158,15 +158,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("sidecar", [
         "[]", '{"subclusters": 5}', '{"metadata": 5}',
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        # the first test-split tag replaced by a non-string
+        pytest.param(1, id="int-tag"), pytest.param({"a": 1}, id="dict-tag"),
     ])
     def test_malformed_sidecar_is_parse_error(self, data_dir, tmp_path, capsys, sidecar):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
-        (data / "dataset.meta.json").write_text(sidecar)
-        code = run(["train", "--method", "erm", "--epochs", "1", "--data", str(data), "--out", str(tmp_path / "o")])
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        meta = data / "dataset.meta.json"
+        if not isinstance(sidecar, str):
+            payload = json.loads(meta.read_text())
+            first_test = list(data_gen.load(data / "dataset.csv").splits).index("test")
+            payload["subclusters"][first_test] = sidecar
+            sidecar = json.dumps(payload)
+        meta.write_text(sidecar)
+        out = tmp_path / "o"
+        code = run(["train", "--method", "erm", "--epochs", "1", "--data", str(data), "--out", str(out)])
+        (line,) = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert payload["error"] == "ParseError"
+        assert json.loads(line)["error"] == "ParseError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1]", b'{"seed": ' + b"9" * 5000 + b"}"],
                              ids=["not-utf8", "not-an-object", "int-too-long"])

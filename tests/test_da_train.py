@@ -41,15 +41,14 @@ from otda.da_train import (
     load_report,
     run_seeds,
     save_report,
-    train,
     train_with_model,
 )
 from otda.errors import ConfigurationError, ContractViolationError, NumericError, ParseError, SinkhornConvergenceError
 from otda.eval_report import roc_auc
 from otda.nn_core import (
     OptimizerConfig,
-    _head_backward,
-    _head_forward,
+    _domain_head_backward,
+    _domain_head_forward,
     backward,
     cross_entropy,
     forward_classifier,
@@ -232,9 +231,9 @@ class TestDannStep:
         features_t, trace_t = forward_features(params, xt)
         stacked = np.vstack([features_s, features_t])
         targets = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
-        head_out, inputs = _head_forward(params.domain_head, stacked)
+        head_out, hidden = _domain_head_forward(params.domain_head, stacked)
         _, dhead = binary_cross_entropy_with_logits(head_out, targets)
-        head_grads, dstacked = _head_backward(params.domain_head, inputs, dhead)
+        head_grads, dstacked = _domain_head_backward(params.domain_head, stacked, hidden, dhead)
 
         base = backward(params, trace_s, None, dlogits)
         unreversed = backward(params, trace_s, dstacked[: len(xs)], np.zeros_like(dlogits))
@@ -253,6 +252,27 @@ class TestDannStep:
         assert [a.tobytes() for layer in step_grads.domain_head for a in layer] == [
             a.tobytes() for layer in head_grads for a in layer
         ]
+
+    def test_adversary_gradients_match_finite_differences(self):
+        # the featurizer and classifier descend ce - alpha * aux, the head aux
+        config = TrainConfig(method="dann", alpha=0.3, seed=0)
+        for instance in range(5):
+            rng = np.random.default_rng(instance)
+            xs, ys, xt = rng.standard_normal((8, 4)), rng.integers(0, 2, 8), rng.standard_normal((8, 4))
+            params = init_model(4, domain_head=True, seed=instance)
+
+            def shared_loss():
+                ce, aux, _ = composite_loss_and_grads(params, (xs, ys), xt, config)
+                return ce - config.alpha * aux
+
+            def head_loss():
+                return composite_loss_and_grads(params, (xs, ys), xt, config)[1]
+
+            _, _, grads = composite_loss_and_grads(params, (xs, ys), xt, config)
+            shared = 2 * (len(params.featurizer) + len(params.classifier))
+            for i, (arr, grad) in enumerate(zip(model_arrays(params), model_arrays(grads))):
+                loss = shared_loss if i < shared else head_loss
+                assert sampled_central_diff(loss, arr, grad, rng, probes=20, h=1e-6) <= 1e-4
 
     def test_sigmoid_overflow_gives_the_exact_limit(self):
         # exp(1000) overflows to inf, and 1 / (1 + inf) is sigmoid's limit 0
@@ -277,13 +297,13 @@ class TestTrain:
         domains = np.concatenate([np.full(2 * n, b[2]) for b in blobs])
         splits = np.where(domains == 1, "train", np.where(domains == 2, "val", "test")).astype(object)
         ds = DomainDataset(features, labels, domains, splits)
-        report = train(ds, TrainConfig(method="erm", epochs=5, seed=0))
+        report = train_with_model(ds, TrainConfig(method="erm", epochs=5, seed=0))[0]
         assert report.final["train"]["accuracy"] >= 0.99
 
     def test_same_seed_identical_reports(self, tiny_ds):
         config = small_config(method="ot", alpha=0.05)
-        a = train(tiny_ds, config)
-        b = train(tiny_ds, config)
+        a = train_with_model(tiny_ds, config)[0]
+        b = train_with_model(tiny_ds, config)[0]
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_validation_labels_never_touch_training(self, tiny_ds):
@@ -298,7 +318,7 @@ class TestTrain:
         assert params_equal(base_params.classifier, permuted_params.classifier)
 
     def test_early_stopping_selects_best_validation_epoch(self, tiny_ds):
-        report = train(tiny_ds, small_config(method="erm", epochs=4))
+        report = train_with_model(tiny_ds, small_config(method="erm", epochs=4))[0]
         best = max(r.val_accuracy for r in report.epochs)
         assert report.epochs[report.selected_epoch].val_accuracy == best
 
@@ -540,7 +560,7 @@ class TestReportStructures:
     def test_report_round_trip(self, tiny_ds, tmp_path):
         from otda.da_train import load_report, save_report
 
-        report = train(tiny_ds, small_config(method="erm"))
+        report = train_with_model(tiny_ds, small_config(method="erm"))[0]
         save_report(report, tmp_path / "r.json")
         loaded = load_report(tmp_path / "r.json")
         assert loaded.to_json_dict() == report.to_json_dict()
@@ -550,7 +570,7 @@ class TestReportStructures:
         from otda.da_train import save_report
         import json
 
-        report = train(tiny_ds, small_config(method="erm"))
+        report = train_with_model(tiny_ds, small_config(method="erm"))[0]
         save_report(report, tmp_path / "r.json")
         payload = json.loads((tmp_path / "r.json").read_text())
         keys = {"epoch", "ce_loss", "aux_loss", "val_accuracy", "test_accuracy"}

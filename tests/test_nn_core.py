@@ -29,8 +29,8 @@ from otda.nn_core import (
     VARIANCE_FLOOR,
     ModelParams,
     OptimizerConfig,
-    _head_backward,
-    _head_forward,
+    _domain_head_backward,
+    _domain_head_forward,
     _norm_backward,
     _normalize_rows,
     backward,
@@ -392,8 +392,8 @@ class TestBackward:
         params.domain_head[0].bias[1] = -100.0
         rng = np.random.default_rng(10)
         features, _ = forward_features(params, rng.standard_normal((6, 4)))
-        out, inputs = _head_forward(params.domain_head, features)
-        grads, _ = _head_backward(params.domain_head, inputs, rng.standard_normal(out.shape))
+        out, hidden = _domain_head_forward(params.domain_head, features)
+        grads, _ = _domain_head_backward(params.domain_head, features, hidden, rng.standard_normal(out.shape))
         assert np.all(grads[0].weight[:, 1] == 0.0) and grads[0].bias[1] == 0.0
         assert np.all(grads[1].weight[1] == 0.0)
 
